@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -174,13 +173,9 @@ def _analyze_one(path: str) -> str:
 
 
 def cmd_analyze(paths) -> int:
-    """Full report for each simplex file; fan out over files, keep order."""
-    if len(paths) == 1:
-        print(_analyze_one(paths[0]))
-        return EXIT_OK
-    with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-        for line in pool.map(_analyze_one, paths):
-            print(line)
+    """Full report for each simplex file, in argument order."""
+    for path in paths:
+        print(_analyze_one(path))
     return EXIT_OK
 
 

@@ -166,14 +166,20 @@ def exact_meb(points) -> tuple[np.ndarray, float]:
 def combined_enclosure(s: Simplex) -> EnclosureReport:
     """Compare the exact ball against the barycentric and Jung bounds.
 
-    Jung's bound is applied with the intrinsic dimension m of the simplex,
-    which is valid because the exact ball lives in the affine hull.
+    The exact ball is centered in the affine hull, so the search runs in
+    orthonormal hull coordinates (from a QR factorization of the edge
+    vectors at vertex 0) and its dimension cap applies to m, not n.  The
+    center is mapped back and the radius recomputed in ambient
+    coordinates.  Jung's bound is applied with m for the same reason.
     """
     profile = edge_profile(s)
     radius_bc, argmax = barycentric_circumradius(s)
     jung = jung_bound(profile.diam, s.m)
     combined = min(radius_bc, jung)
-    center, radius = exact_meb(list(s.vertices))
+    basis, _ = np.linalg.qr((s.vertices[1:] - s.vertices[0]).T)
+    local, _ = exact_meb((s.vertices - s.vertices[0]) @ basis)
+    center = s.vertices[0] + basis @ local
+    radius = float(np.linalg.norm(s.vertices - center, axis=1).max())
     if radius > combined + 1e-12 * profile.diam:
         raise ArithmeticError(
             f"exact ball radius {radius!r} exceeds enclosure bound {combined!r}"

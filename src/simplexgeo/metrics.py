@@ -1,10 +1,11 @@
 """Inradius, thickness, width bounds, and related comparison checks.
 
 The inradius of the ball centered at the barycenter is the minimum
-distance from the barycenter to the faces; a cheaper estimate replaces
-each exact face distance by the distance to the face centroid, which
-can only overestimate.  Full-dimensional simplices additionally get the
-true inradius from the facet-plane linear system.
+distance from the barycenter to the faces, each found by Wolfe's
+nearest-point algorithm in time polynomial in the face size.  A cheaper
+estimate replaces each exact face distance by the distance to the face
+centroid, which can only overestimate.  Full-dimensional simplices
+additionally get the true inradius from the facet-plane linear system.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ from .errors import DimensionMismatch, InvalidDimension, NotFullDimensional
 # Condition number above which the facet-plane system is flagged.
 _INCENTER_COND_LIMIT = 1e8
 
+# Optimality slack of the nearest-point search, relative to the squared
+# largest vertex distance, and its cycle cap per vertex.
+_WOLFE_RTOL = 1e-12
+_WOLFE_MAX_CYCLES = 50
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -49,34 +55,57 @@ class MetricsReport:
     shor: float
 
 
-def _distance_to_hull(p: np.ndarray, verts: np.ndarray) -> float:
-    """Distance from p to the convex hull of the given vertex rows.
+def _hull_weights(p: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Convex weights w such that w @ verts is the hull point nearest p.
 
-    Projects onto the affine hull first; when the minimizer's barycentric
-    coordinates are all nonnegative it is the answer, otherwise the
-    minimizer sits on a proper sub-face and the recursion covers those.
+    Wolfe's algorithm (Math. Programming 11, 1976) on q_j = v_j - p, with
+    x the current point minus p.  A major cycle adds the vertex that most
+    violates the optimality test (p - x).(v_j - x) <= 0, read here as
+    ||x||^2 - x.q_j <= tol with tol relative to max ||q_j||^2.  A minor
+    cycle projects onto the affine hull of the active set; when a weight
+    turns nonpositive it steps back to the set's hull and drops the vertex
+    whose weight reached zero.  Reaching the major-cycle cap raises
+    ArithmeticError rather than returning a point that failed the test.
     """
     k = verts.shape[0]
-    if k == 1:
-        return float(np.linalg.norm(p - verts[0]))
-    rel = verts[1:] - verts[0]
-    gram = rel @ rel.T
-    rhs = rel @ (p - verts[0])
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    weights = np.empty(k)
-    weights[0] = 1.0 - coef.sum()
-    weights[1:] = coef
-    if np.all(weights >= -1e-12):
-        foot = verts[0] + coef @ rel
-        return float(np.linalg.norm(p - foot))
-    best = math.inf
-    for drop in range(k):
-        keep = [r for r in range(k) if r != drop]
-        best = min(best, _distance_to_hull(p, verts[keep]))
-    return best
+    q = verts - p
+    norms = np.einsum("ij,ij->i", q, q)
+    tol = _WOLFE_RTOL * float(norms.max())
+    active = np.array([np.argmin(norms)])
+    w = np.ones(1)
+    for _ in range(_WOLFE_MAX_CYCLES * k):
+        x = w @ q[active]
+        gap = x @ x - q @ x
+        gap[active] = -math.inf
+        j = int(np.argmax(gap))
+        if gap[j] <= tol:
+            weights = np.zeros(k)
+            weights[active] = w
+            return weights
+        active = np.append(active, j)
+        w = np.append(w, 0.0)
+        while True:
+            rows = q[active]
+            coef, *_ = np.linalg.lstsq((rows[1:] - rows[0]).T, -rows[0], rcond=None)
+            v = np.concatenate(([1.0 - coef.sum()], coef))
+            if np.all(v > 0.0):
+                w = v
+                break
+            # Largest step from w toward v that keeps every weight >= 0.
+            down = v <= 0.0
+            ratios = np.where(down, w / np.where(w > v, w - v, 1.0), math.inf)
+            drop = int(np.argmin(ratios))
+            w = w + ratios[drop] * (v - w)
+            w[drop] = 0.0
+            keep = w > 0.0
+            active = active[keep]
+            w = w[keep] / w[keep].sum()
+    raise ArithmeticError(f"nearest-point search on {k} vertices did not converge")
+
+
+def _distance_to_hull(p: np.ndarray, verts: np.ndarray) -> float:
+    """Distance from p to the convex hull of the given vertex rows."""
+    return float(np.linalg.norm(_hull_weights(p, verts) @ verts - p))
 
 
 def distance_point_to_face(p, face: Simplex) -> float:
@@ -94,6 +123,12 @@ def barycentric_inradius(s: Simplex) -> tuple[float, int]:
 
     Face i is the one opposite vertex i; ties resolve to the smallest
     index.  For a 1-simplex the faces are the two endpoints.
+
+    Worst-case cost: m+1 nearest-point solves, one per facet, each of at
+    most 50 m major cycles and as many minor ones, where a cycle costs
+    O(m^2 n) for a least-squares solve on at most m columns; O(m^4 n) in
+    all.  In practice a solve takes about m cycles.  A solve that reaches
+    its cycle cap raises ArithmeticError.
     """
     center = barycenter(s)
     best = math.inf

@@ -27,6 +27,8 @@ from simplexgeo.cli import (
     render_json,
 )
 
+from conftest import brute_force_meb
+
 
 def write_simplex(tmp_path, name, vertices):
     path = tmp_path / name
@@ -132,6 +134,24 @@ class TestAnalyze:
         assert digests == [
             hashlib.sha256(p.read_bytes()).hexdigest() for p in paths
         ]
+
+    @pytest.mark.parametrize("m, n", [(1, 11), (3, 12)])
+    def test_ambient_dimension_above_ball_cap(self, tmp_path, capsys, m, n):
+        # The exact ball's dimension cap applies to m, not to the ambient n.
+        vertices = np.random.default_rng(1100 + n).uniform(-3, 3, size=(m + 1, n))
+        path = write_simplex(tmp_path, "high.json", vertices)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        enclosure = parse_envelope(out)["payload"]["enclosure"]
+        center = np.asarray(enclosure["meb_center"])
+        rel = vertices[1:] - vertices[0]
+        coef, *_ = np.linalg.lstsq(rel.T, center - vertices[0], rcond=None)
+        scale = float(np.abs(rel).max())
+        assert np.linalg.norm(rel.T @ coef - (center - vertices[0])) <= 1e-12 * scale
+        assert enclosure["meb_radius"] == pytest.approx(brute_force_meb(vertices), rel=1e-9)
+        if m == 1:
+            assert center == pytest.approx(vertices.mean(axis=0), abs=1e-12 * scale)
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["analyze", "/nonexistent/x.json"], capsys)

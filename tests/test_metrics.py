@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexgeo import (
     barycenter,
@@ -23,6 +26,9 @@ from simplexgeo import (
 )
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import DimensionMismatch, InvalidDimension, NotFullDimensional
+from simplexgeo.metrics import _hull_weights
+
+from conftest import random_rigid_motion
 
 
 def corner_triangle():
@@ -256,3 +262,144 @@ class TestMetricsReport:
         report = metrics_report(regular_simplex(2, 4, 1.0))
         assert report.exact_inradius is None
         assert report.exact_incenter is None
+
+
+def reference_distances(p, verts) -> dict:
+    """Exhaustive route: distance from p to the hull of every vertex subset.
+
+    The foot of the projection onto a subset's affine hull is the answer
+    when its barycentric coordinates are all nonnegative; otherwise the
+    nearest point lies on a proper sub-face.  Subsets are memoised, so
+    the facets of one simplex share their sub-faces.  Returns a dict from
+    index tuples to distances, filled on demand by ``lookup``.
+    """
+    memo = {}
+
+    def lookup(face: tuple) -> float:
+        if face not in memo:
+            rows = verts[list(face)]
+            if len(face) == 1:
+                memo[face] = float(np.linalg.norm(p - rows[0]))
+            else:
+                rel = rows[1:] - rows[0]
+                coef, *_ = np.linalg.lstsq(rel.T, p - rows[0], rcond=None)
+                if coef.min() >= -1e-12 and coef.sum() <= 1.0 + 1e-12:
+                    memo[face] = float(np.linalg.norm(p - rows[0] - coef @ rel))
+                else:
+                    memo[face] = min(
+                        lookup(face[:j] + face[j + 1 :]) for j in range(len(face))
+                    )
+        return memo[face]
+
+    return lookup
+
+
+def reference_inradius(s) -> tuple[float, int]:
+    lookup = reference_distances(barycenter(s), s.vertices)
+    facets = [tuple(k for k in range(s.m + 1) if k != i) for i in range(s.m + 1)]
+    values = [lookup(face) for face in facets]
+    return min(values), int(np.argmin(values))
+
+
+def point_set_diam(p, verts) -> float:
+    pts = np.vstack([p, verts])
+    gaps = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((gaps**2).sum(axis=2).max()))
+
+
+def random_face_pairs(seed: int, count: int, max_k: int):
+    """(point, vertex rows) pairs: 2 <= k <= max_k vertices in R^n, k <= n + 1."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, max_k))
+        k = int(rng.integers(2, min(n + 1, max_k) + 1))
+        yield rng.uniform(-8, 8, size=n), rng.uniform(-5, 5, size=(k, n))
+
+
+class TestHullDistanceAgainstReference:
+    """The nearest-point solver against the exhaustive subset route."""
+
+    @pytest.mark.parametrize("corpus", ["fulldim_corpus", "mixed_corpus"])
+    def test_barycentric_inradius_matches(self, corpus, request):
+        worst = 0.0
+        for s in request.getfixturevalue(corpus):
+            diam = edge_profile(s).diam
+            value, argmin = barycentric_inradius(s)
+            want, want_argmin = reference_inradius(s)
+            worst = max(worst, abs(value - want) / diam)
+            assert argmin == want_argmin
+        assert worst <= 1e-12
+
+    def test_random_faces_match(self):
+        for p, verts in random_face_pairs(4242, 1000, max_k=9):
+            diam = point_set_diam(p, verts)
+            want = reference_distances(p, verts)(tuple(range(verts.shape[0])))
+            got = distance_point_to_face(p, validate_simplex(verts))
+            assert abs(got - want) <= 1e-12 * diam
+
+    def test_high_m_matches_and_is_fast(self):
+        rng = np.random.default_rng(912)
+        for m in (9, 10, 11, 12):
+            s = random_simplex(rng, m, m + int(rng.integers(0, 3)))
+            start = time.perf_counter()
+            value, argmin = barycentric_inradius(s)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.5, f"m={m} took {elapsed:.3f} s"
+            want, want_argmin = reference_inradius(s)
+            assert value == pytest.approx(want, abs=1e-12 * edge_profile(s).diam)
+            assert argmin == want_argmin
+
+    def test_high_m_regular_closed_form(self):
+        for m in (9, 10, 11, 12):
+            start = time.perf_counter()
+            value, _ = barycentric_inradius(regular_simplex(m, m, 1.0))
+            assert time.perf_counter() - start < 0.5
+            assert value == pytest.approx(1 / math.sqrt(2 * m * (m + 1)), abs=1e-12)
+
+
+class TestHullWeightsCertificate:
+    """KKT conditions at the returned foot: it is the nearest point."""
+
+    @staticmethod
+    def assert_certified(p, verts):
+        weights = _hull_weights(p, verts)
+        foot = weights @ verts
+        diam = point_set_diam(p, verts)
+        assert weights.min() >= 0.0
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert float(((p - foot) @ (verts - foot).T).max()) <= 1e-12 * diam**2
+
+    def test_random_faces(self):
+        for p, verts in random_face_pairs(5150, 1000, max_k=13):
+            self.assert_certified(p, verts)
+
+    def test_barycenter_to_facets(self, mixed_corpus):
+        for s in mixed_corpus[::5]:
+            center = barycenter(s)
+            for i in range(s.m + 1):
+                self.assert_certified(center, np.delete(s.vertices, i, axis=0))
+
+    def test_point_inside_face(self):
+        face = validate_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        weights = _hull_weights(np.array([0.1, 0.2, 0.3]), face.vertices)
+        assert weights == pytest.approx([0.4, 0.1, 0.2, 0.3], abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exponent=st.floats(min_value=-100.0, max_value=100.0),
+)
+def test_hull_distance_scale_and_rigid_motion_invariant(seed, exponent):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, n + 2))
+    verts = rng.uniform(-5, 5, size=(k, n))
+    p = rng.uniform(-8, 8, size=n)
+    base = float(np.linalg.norm(_hull_weights(p, verts) @ verts - p))
+    q, shift = random_rigid_motion(rng, n)
+    scale = 10.0**exponent
+    moved_p = scale * (q @ p + shift)
+    moved = scale * (verts @ q.T + shift)
+    value = float(np.linalg.norm(_hull_weights(moved_p, moved) @ moved - moved_p))
+    assert abs(value - scale * base) <= 1e-12 * scale * point_set_diam(p, verts)
