@@ -50,30 +50,39 @@ class MedianReport:
     sum_squares_edges: float
 
 
-def _radicand_terms(sq: np.ndarray, i: int) -> tuple[float, float]:
-    """Vertex-star and opposite-face squared-edge sums for vertex i."""
+def radicands(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex radicands from a squared-distance matrix: (floored, raw).
+
+    Entry i of ``raw`` is m times the squared edges at vertex i minus the
+    squared edges of the face opposite vertex i.  A raw value negative
+    beyond RADICAND_RTOL of its two terms raises NegativeRadicand; smaller
+    negatives are rounding and are floored to zero in the first array.
+    Raises OverflowError when the squared edge lengths sum past the float
+    range.
+    """
     m = sq.shape[0] - 1
-    star = float(sq[i].sum())
-    total = float(sq[np.triu_indices(m + 1, 1)].sum())
-    return m * star, total - star
+    total = float(sq[~np.tri(m + 1, dtype=bool)].sum())
+    if total == math.inf:
+        raise OverflowError("squared edge lengths overflow the float range")
+    rows = sq.sum(axis=1)
+    star = m * rows
+    face = total - rows
+    raw = star - face
+    scale = np.maximum(star + face, 1e-300)
+    bad = np.flatnonzero(raw < -RADICAND_RTOL * scale)
+    if bad.size:
+        i = int(bad[0])
+        raise NegativeRadicand(
+            f"radicand {raw[i]:.6e} at vertex {i} is negative beyond "
+            f"rounding tolerance (scale {star[i] + face[i]:.6e})"
+        )
+    return np.maximum(raw, 0.0), raw
 
 
-def vertex_radicand(s: Simplex, i: int, sq: np.ndarray | None = None) -> float:
+def vertex_radicand(s: Simplex, i: int) -> float:
     """Edge-length radicand for vertex i, floored at zero within tolerance."""
     check_index(s, i)
-    if sq is None:
-        sq = squared_distance_matrix(s)
-    star_term, face_term = _radicand_terms(sq, i)
-    radicand = star_term - face_term
-    if radicand < 0.0:
-        scale = star_term + face_term
-        if radicand < -RADICAND_RTOL * max(scale, 1e-300):
-            raise NegativeRadicand(
-                f"radicand {radicand:.6e} at vertex {i} is negative beyond "
-                f"rounding tolerance (scale {scale:.6e})"
-            )
-        radicand = 0.0
-    return radicand
+    return float(radicands(squared_distance_matrix(s))[0][i])
 
 
 def median_length(s: Simplex, i: int) -> float:
@@ -92,10 +101,9 @@ def apollonius_residual(s: Simplex, i: int) -> float:
     near zero certifies the edge-length route against an independent one.
     """
     check_index(s, i)
-    sq = squared_distance_matrix(s)
-    star_term, face_term = _radicand_terms(sq, i)
+    _, raw = radicands(squared_distance_matrix(s))
     median = s.vertices[i] - face_centroid(s, i)
-    return star_term - face_term - s.m**2 * float(median @ median)
+    return float(raw[i]) - s.m**2 * float(median @ median)
 
 
 def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
@@ -114,20 +122,19 @@ def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
 def median_sums(s: Simplex) -> MedianReport:
     """Assemble the per-vertex medians and the aggregate squared sums."""
     sq = squared_distance_matrix(s)
+    floored, raw = radicands(sq)
     center = barycenter(s)
-    lengths = []
-    residuals = []
-    sum_medians = 0.0
-    sum_center = 0.0
-    for i in range(s.m + 1):
-        lengths.append(math.sqrt(vertex_radicand(s, i, sq)) / s.m)
-        residuals.append(apollonius_residual(s, i))
-        med = s.vertices[i] - face_centroid(s, i)
-        sum_medians += float(med @ med)
-        gap = center - s.vertices[i]
-        sum_center += float(gap @ gap)
-    sum_edges = float(sq[np.triu_indices(s.m + 1, 1)].sum())
-    return MedianReport(lengths, residuals, sum_medians, sum_center, sum_edges)
+    medians = [s.vertices[i] - face_centroid(s, i) for i in range(s.m + 1)]
+    median_squares = [float(med @ med) for med in medians]
+    return MedianReport(
+        median_lengths=(np.sqrt(floored) / s.m).tolist(),
+        apollonius_residuals=(raw - s.m**2 * np.array(median_squares)).tolist(),
+        # sum() adds left to right, so these match a per-vertex running
+        # total bit for bit; numpy's pairwise summation rounds differently.
+        sum_squares_medians=sum(median_squares),
+        sum_squares_center_to_vertices=sum(float(g @ g) for g in center - s.vertices),
+        sum_squares_edges=float(sq[~np.tri(s.m + 1, dtype=bool)].sum()),
+    )
 
 
 def pythagoras_regular_residual(s: Simplex, i: int, j: int) -> float:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Simplex, barycenter, edge_profile
+from .core import Simplex, barycenter, check_int, check_positive, edge_profile
 from .errors import (
     DimensionMismatch,
     EvaluationFailure,
@@ -95,12 +95,9 @@ def kearfott_bound(p: int, m: int, diam0: float) -> float:
     Every block of m bisections shrinks the diameter by at least
     sqrt(3)/2.
     """
-    if not isinstance(p, (int, np.integer)) or p < 0:
-        raise ValueError(f"p must be a nonnegative integer, got {p!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
-    if not (diam0 > 0 and math.isfinite(diam0)):
-        raise ValueError(f"diam0 must be a positive finite real, got {diam0!r}")
+    check_int("p", p, 0)
+    check_int("m", m, 1)
+    check_positive("diam0", diam0)
     return _HALF_ROOT3 ** (p // m) * diam0
 
 
@@ -180,10 +177,8 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
             f"solver needs m == n == f.dimension, got m={s0.m}, n={s0.n}, "
             f"dimension={f.dimension}"
         )
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a positive finite real, got {tol!r}")
-    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
-        raise ValueError(f"max_iter must be a positive integer, got {max_iter!r}")
+    check_positive("tol", tol)
+    check_int("max_iter", max_iter, 1)
 
     cache: dict = {}
     diam0 = edge_profile(s0).diam

@@ -5,15 +5,21 @@ Every command prints a single-line envelope per result on stdout:
     {"command": ..., "input_digest": ..., "payload": ..., "schema_version": 1}
 
 Keys are sorted and floats carry 17 significant digits, so identical
-invocations produce byte-identical output.  Diagnostics go to stderr.
-Exit codes: 0 success, 2 parse or argument error, 3 degenerate input,
-4 enumeration cap exceeded, 5 iteration budget exhausted, 6 no child
-satisfied the sign criterion, 7 unknown system function.
+invocations produce byte-identical output.  Report dataclasses are
+written field by field, so their field names are the payload keys.
+Diagnostics go to stderr.  ``main`` maps each exception to an exit code
+through one first-match table: 0 success, 1 numerical failure (overflow,
+a failed self-check, a singular system), 2 parse or argument error,
+3 degenerate input, 4 enumeration cap exceeded, 5 iteration budget
+exhausted, 6 no child satisfied the sign criterion, 7 unknown system
+function.  A failure found in the table prints one ``error:`` line on
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +29,7 @@ import sys
 import numpy as np
 
 from . import bisection, corpus, enclosing, fileio, metrics
-from .apollonius import median_sums
+from .apollonius import median_length, median_sums
 from .core import Simplex, regular_simplex
 from .errors import (
     AllDegenerate,
@@ -43,6 +49,7 @@ from .errors import (
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
+EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
 EXIT_CAP = 4
@@ -50,19 +57,24 @@ EXIT_MAX_ITER = 5
 EXIT_NO_SIGN = 6
 EXIT_UNKNOWN_FUNCTION = 7
 
-_PARSE_ERRORS = (
-    ParseError,
-    InvalidPoint,
-    TooFewPoints,
-    DimensionMismatch,
-    InvalidDimension,
-    IndexOutOfRange,
+# Exception types and their exit code; the first matching row wins, so
+# InvalidDimension, also a ValueError, exits 2 rather than 1.
+_EXIT_CODES = (
+    ((FileNotFoundError, ParseError, InvalidPoint, TooFewPoints), EXIT_PARSE),
+    ((DimensionMismatch, InvalidDimension, IndexOutOfRange), EXIT_PARSE),
+    ((Degenerate, AllDegenerate, NegativeRadicand), EXIT_DEGENERATE),
+    (CapExceeded, EXIT_CAP),
+    (NoSignCriterion, EXIT_NO_SIGN),
+    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError), EXIT_FAILURE),
 )
-_DEGENERATE_ERRORS = (Degenerate, AllDegenerate, NegativeRadicand)
 
 
 def render_json(obj) -> str:
-    """Serialize with sorted keys and 17-significant-digit floats."""
+    """Serialize with sorted keys and 17-significant-digit floats.
+
+    A dataclass instance is written as the object of its fields, so a
+    report's field names are its keys in the output schema.
+    """
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -87,6 +99,8 @@ def render_json(obj) -> str:
         return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(render_json(x) for x in obj) + "]"
+    if dataclasses.is_dataclass(obj):
+        return render_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -114,68 +128,17 @@ def _simplex_dict(s: Simplex) -> dict:
     return {"m": s.m, "n": s.n, "vertices": s.vertices}
 
 
-def _median_dict(report) -> dict:
-    return {
-        "median_lengths": report.median_lengths,
-        "apollonius_residuals": report.apollonius_residuals,
-        "sum_squares_medians": report.sum_squares_medians,
-        "sum_squares_center_to_vertices": report.sum_squares_center_to_vertices,
-        "sum_squares_edges": report.sum_squares_edges,
-    }
-
-
-def _enclosure_dict(report) -> dict:
-    return {
-        "barycentric_circumradius": report.barycentric_circumradius,
-        "jung_bound": report.jung_bound,
-        "combined_bound": report.combined_bound,
-        "meb_radius": report.meb_radius,
-        "meb_center": report.meb_center,
-        "barycenter": report.barycenter,
-        "argmax_vertex": report.argmax_vertex,
-    }
-
-
-def _metrics_dict(report) -> dict:
-    return {
-        "barycentric_inradius": report.barycentric_inradius,
-        "barycentric_inradius_estimate": report.barycentric_inradius_estimate,
-        "thickness": report.thickness,
-        "thickness_estimate": report.thickness_estimate,
-        "exact_inradius": report.exact_inradius,
-        "exact_incenter": report.exact_incenter,
-        "diam": report.diam,
-        "shor": report.shor,
-    }
-
-
-def _step_dict(step) -> dict:
-    return {
-        "depth": step.depth,
-        "child_choice": step.child_choice,
-        "diam": step.diam,
-        "shor": step.shor,
-        "error_estimate": step.error_estimate,
-        "kearfott_bound": step.kearfott_bound,
-        "barycenter": step.barycenter,
-    }
-
-
-def _analyze_one(path: str) -> str:
-    s = fileio.load_simplex(path)
-    payload = {
-        "simplex": _simplex_dict(s),
-        "medians": _median_dict(median_sums(s)),
-        "enclosure": _enclosure_dict(enclosing.combined_enclosure(s)),
-        "metrics": _metrics_dict(metrics.metrics_report(s)),
-    }
-    return _envelope("analyze", _file_digest(path), payload)
-
-
 def cmd_analyze(paths) -> int:
     """Full report for each simplex file, in argument order."""
     for path in paths:
-        print(_analyze_one(path))
+        s = fileio.load_simplex(path)
+        payload = {
+            "simplex": _simplex_dict(s),
+            "medians": median_sums(s),
+            "enclosure": enclosing.combined_enclosure(s),
+            "metrics": metrics.metrics_report(s),
+        }
+        print(_envelope("analyze", _file_digest(path), payload))
     return EXIT_OK
 
 
@@ -184,6 +147,8 @@ def _set_diameter(pts: np.ndarray) -> float:
     for row in range(pts.shape[0] - 1):
         gaps = pts[row + 1 :] - pts[row]
         best = max(best, float(np.max(np.einsum("ij,ij->i", gaps, gaps))))
+    if not math.isfinite(best):
+        raise OverflowError("squared point distances overflow the float range")
     return math.sqrt(best)
 
 
@@ -248,12 +213,12 @@ def cmd_solve(fn_name: str, path: str, tol: float, max_iter: int, trace_path: st
         "final_approximation": trace.final_approximation,
         "final_error_estimate": trace.final_error_estimate,
         "residual_norm": trace.residual_norm,
-        "steps": [_step_dict(step) for step in trace.steps],
+        "steps": trace.steps,
     }
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8") as fh:
             for step in trace.steps:
-                fh.write(render_json(_step_dict(step)) + "\n")
+                fh.write(render_json(step) + "\n")
     print(_envelope("solve", _file_digest(path), payload))
     if not trace.converged:
         print(
@@ -265,6 +230,10 @@ def cmd_solve(fn_name: str, path: str, tol: float, max_iter: int, trace_path: st
     return EXIT_OK
 
 
+def _compare(closed_form: float, computed: float) -> dict:
+    return {"closed_form": closed_form, "computed": computed}
+
+
 def cmd_regular(m: int, n: int, diam: float) -> int:
     s = regular_simplex(m, n, diam)
     circum_computed, _ = enclosing.barycentric_circumradius(s)
@@ -274,43 +243,23 @@ def cmd_regular(m: int, n: int, diam: float) -> int:
     gale_closed, gale_measured = metrics.gale_diameter_check(m)
     width_closed = metrics.regular_width(m, diam)
     steinhagen_cap = metrics.steinhagen_bound(m, inradius_computed)
-    from .apollonius import median_length
-
     payload = {
         "m": int(m),
         "n": int(n),
         "diam": float(diam),
         "simplex": _simplex_dict(s),
         "checks": {
-            "median_length": {
-                "closed_form": math.sqrt((m + 1.0) / (2.0 * m)) * diam,
-                "computed": median_length(s, 0),
-            },
-            "circumradius": {
-                "closed_form": enclosing.regular_circumradius(m, diam),
-                "computed": circum_computed,
-            },
-            "inradius": {
-                "closed_form": diam / math.sqrt(2.0 * m * (m + 1.0)),
-                "computed": inradius_computed,
-            },
-            "fermat_sum": {
-                "closed_form": fermat_closed,
-                "computed": fermat_measured,
-            },
-            "thickness": {
-                "closed_form": 1.0 / math.sqrt(2.0 * m * (m + 1.0)),
-                "computed": theta,
-            },
+            "median_length": _compare(math.sqrt((m + 1.0) / (2.0 * m)) * diam, median_length(s, 0)),
+            "circumradius": _compare(enclosing.jung_bound(diam, m), circum_computed),
+            "inradius": _compare(diam / math.sqrt(2.0 * m * (m + 1.0)), inradius_computed),
+            "fermat_sum": _compare(fermat_closed, fermat_measured),
+            "thickness": _compare(1.0 / math.sqrt(2.0 * m * (m + 1.0)), theta),
             "width": {
                 "closed_form": width_closed,
                 "steinhagen_cap": steinhagen_cap,
                 "holds": bool(width_closed <= steinhagen_cap * (1.0 + 1e-12)),
             },
-            "gale_diameter": {
-                "closed_form": gale_closed,
-                "computed": gale_measured,
-            },
+            "gale_diameter": _compare(gale_closed, gale_measured),
         },
     }
     digest = _param_digest(f"regular:m={m}:n={n}:diam={float(diam):.17g}")
@@ -408,24 +357,12 @@ def main(argv=None) -> int:
                     raise ParseError(f"SIMPLEX_SEED must be an integer, got {env_seed!r}") from exc
             return cmd_corpus(seed, args.count, args.m, args.n, args.coord_range)
         raise AssertionError(f"unhandled command {args.command!r}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _DEGENERATE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except NoSignCriterion as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SIGN
-    except SimplexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -67,16 +67,17 @@ class Simplex:
         return self.vertices[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeProfile:
     """All pairwise edge lengths of a simplex plus the extremal edges.
 
-    ``lengths`` maps index pairs (i, j) with i < j to Euclidean lengths.
+    ``lengths`` is the read-only symmetric (m+1, m+1) matrix of vertex
+    distances with a zero diagonal, so the edge (i, j) is ``lengths[i, j]``.
     Ties for the longest or shortest edge resolve to the lexicographically
     smallest index pair so downstream consumers are deterministic.
     """
 
-    lengths: dict = field(repr=False)
+    lengths: np.ndarray = field(repr=False)
     diam: float
     shor: float
     diam_edge: tuple
@@ -86,6 +87,18 @@ class EdgeProfile:
 def check_index(s: Simplex, i: int) -> None:
     if not isinstance(i, (int, np.integer)) or not 0 <= i <= s.m:
         raise IndexOutOfRange(f"vertex index {i!r} outside 0..{s.m}")
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise InvalidDimension unless ``value`` is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidDimension(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Raise InvalidDimension unless ``value`` is a positive finite real."""
+    if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 < value < math.inf):
+        raise InvalidDimension(f"{name} must be a positive finite real, got {value!r}")
 
 
 def validate_simplex(vertices) -> Simplex:
@@ -121,22 +134,23 @@ def validate_simplex(vertices) -> Simplex:
 
 
 def edge_profile(s: Simplex) -> EdgeProfile:
-    """Compute every edge length and the extremal edges of a simplex."""
-    v = s.vertices
-    gaps = v[:, None, :] - v[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", gaps, gaps))
-    lengths = {}
-    diam_edge = shor_edge = (0, 1)
-    diam = shor = dist[0, 1]
-    for i in range(s.m + 1):
-        for j in range(i + 1, s.m + 1):
-            d = float(dist[i, j])
-            lengths[(i, j)] = d
-            if d > diam:
-                diam, diam_edge = d, (i, j)
-            if d < shor:
-                shor, shor_edge = d, (i, j)
-    return EdgeProfile(lengths, float(diam), float(shor), diam_edge, shor_edge)
+    """Compute every edge length and the extremal edges of a simplex.
+
+    The first extremum of the symmetric matrix in row-major order lies
+    above the diagonal and is the lexicographically smallest such pair.
+    Raises OverflowError when a squared edge length exceeds the float range.
+    """
+    k = s.m + 1
+    lengths = np.sqrt(squared_distance_matrix(s))
+    off_diagonal = lengths.copy()
+    off_diagonal.flat[:: k + 1] = math.inf
+    hi = int(lengths.argmax())
+    lo = int(off_diagonal.argmin())
+    diam = lengths.item(hi)
+    if diam == math.inf:
+        raise OverflowError("squared edge lengths overflow the float range")
+    lengths.flags.writeable = False
+    return EdgeProfile(lengths, diam, lengths.item(lo), divmod(hi, k), divmod(lo, k))
 
 
 def squared_distance_matrix(s: Simplex) -> np.ndarray:
@@ -181,12 +195,9 @@ def regular_simplex(m: int, n: int, diam: float) -> Simplex:
     affine hull (coordinates in R^m) and zero-padded to R^n.  The result
     is centered at the origin.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidDimension(f"m must be a positive integer, got {m!r}")
-    if not isinstance(n, (int, np.integer)) or n < m:
-        raise InvalidDimension(f"n must be an integer >= m, got {n!r}")
-    if not (isinstance(diam, (int, float, np.floating)) and diam > 0 and math.isfinite(diam)):
-        raise InvalidDimension(f"diam must be a positive finite real, got {diam!r}")
+    check_int("m", m, 1)
+    check_int("n", n, m)
+    check_positive("diam", diam)
     scaled = (float(diam) / math.sqrt(2.0)) * np.eye(m + 1)
     centered = scaled - scaled.mean(axis=0)
     # Rows of `centered` span an m-dimensional subspace; the first m right

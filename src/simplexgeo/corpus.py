@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Simplex, validate_simplex
-from .errors import Degenerate, InvalidDimension
+from .core import Simplex, check_int, check_positive, validate_simplex
+from .errors import Degenerate
 
 
 def random_simplex(rng: np.random.Generator, m: int, n: int, coord_range: float = 10.0) -> Simplex:
@@ -14,10 +14,9 @@ def random_simplex(rng: np.random.Generator, m: int, n: int, coord_range: float 
     Degenerate draws are rejected and resampled; at these sizes rejection
     is vanishingly rare.
     """
-    if m < 1:
-        raise InvalidDimension(f"m must be a positive integer, got {m!r}")
-    if n < m:
-        raise InvalidDimension(f"n must be an integer >= m, got {n!r}")
+    check_int("m", m, 1)
+    check_int("n", n, m)
+    check_positive("coord_range", coord_range)
     for _ in range(64):
         coords = rng.uniform(-coord_range, coord_range, size=(m + 1, n))
         try:
@@ -41,12 +40,11 @@ def generate(
     When m or n is None each draw picks its own value, with 1 <= m <= m_max
     and m <= n <= n_max.
     """
+    check_int("count", count, 0)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         mi = int(m) if m is not None else int(rng.integers(1, m_max + 1))
         ni = int(n) if n is not None else int(rng.integers(mi, n_max + 1))
-        if ni < mi:
-            raise InvalidDimension(f"n={ni} is incompatible with m={mi}")
         out.append(random_simplex(rng, mi, ni, coord_range))
     return out

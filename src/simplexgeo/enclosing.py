@@ -16,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import vertex_radicand
+from .apollonius import radicands
 from .core import (
     Simplex,
     barycenter,
+    check_int,
+    check_positive,
     edge_profile,
     require_regular,
     squared_distance_matrix,
@@ -31,7 +33,6 @@ from .errors import (
     Degenerate,
     DimensionMismatch,
     EmptyInput,
-    InvalidDimension,
     TooFewPoints,
 )
 
@@ -63,22 +64,19 @@ def barycentric_circumradius(s: Simplex) -> tuple[float, int]:
     Returns the radius and the index of the attaining vertex; ties resolve
     to the smallest index.
     """
-    sq = squared_distance_matrix(s)
-    best = -1.0
-    argmax = 0
-    for i in range(s.m + 1):
-        rad = vertex_radicand(s, i, sq)
-        if rad > best:
-            best, argmax = rad, i
-    return math.sqrt(best) / (s.m + 1), argmax
+    floored, _ = radicands(squared_distance_matrix(s))
+    argmax = int(np.argmax(floored))
+    return math.sqrt(floored[argmax]) / (s.m + 1), argmax
 
 
 def jung_bound(diam: float, n: int) -> float:
-    """Jung's enclosing radius sqrt(n / (2n + 2)) * diam for sets in R^n."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimension(f"n must be a positive integer, got {n!r}")
-    if not (diam > 0 and math.isfinite(diam)):
-        raise ValueError(f"diam must be a positive finite real, got {diam!r}")
+    """Jung's enclosing radius sqrt(n / (2n + 2)) * diam for sets in R^n.
+
+    The regular n-simplex with edge length diam attains it, so this is
+    also that simplex's barycenter-to-vertex distance.
+    """
+    check_int("n", n, 1)
+    check_positive("diam", diam)
     return math.sqrt(n / (2.0 * n + 2.0)) * diam
 
 
@@ -197,8 +195,7 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
 
 def _check_subset_input(points, n: int) -> np.ndarray:
     pts = _coerce_points(points)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimension(f"n must be a positive integer, got {n!r}")
+    check_int("n", n, 1)
     if pts.shape[1] != n:
         raise DimensionMismatch(
             f"points live in R^{pts.shape[1]} but n={n} was requested"
@@ -246,15 +243,6 @@ def blumenthal_wahlin_check(points, n: int) -> tuple[float, float]:
         worst = max(worst, radius)
     _, full = exact_meb(pts)
     return worst, full
-
-
-def regular_circumradius(m: int, diam: float) -> float:
-    """Barycenter-to-vertex distance of a regular m-simplex with edge diam."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidDimension(f"m must be a positive integer, got {m!r}")
-    if not (diam > 0 and math.isfinite(diam)):
-        raise ValueError(f"diam must be a positive finite real, got {diam!r}")
-    return math.sqrt(m / (2.0 * m + 2.0)) * diam
 
 
 def fermat_sum_regular(s: Simplex) -> tuple[float, float]:

@@ -25,8 +25,8 @@ class IndexOutOfRange(SimplexError):
     """A vertex index is outside 0..m."""
 
 
-class InvalidDimension(SimplexError):
-    """A dimension argument is out of the supported range."""
+class InvalidDimension(SimplexError, ValueError):
+    """A dimension or numeric argument is out of its supported range."""
 
 
 class NegativeRadicand(SimplexError):

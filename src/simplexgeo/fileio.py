@@ -20,7 +20,11 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-def _coordinate_rows(doc, key: str) -> np.ndarray:
+def _coordinate_rows(text: str, key: str) -> np.ndarray:
+    try:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f'top-level object must contain the key "{key}"')
     rows = doc[key]
@@ -45,20 +49,12 @@ def _coordinate_rows(doc, key: str) -> np.ndarray:
 
 def parse_simplex_json(text: str) -> Simplex:
     """Parse a {"vertices": [[...], ...]} document into a validated simplex."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return validate_simplex(_coordinate_rows(doc, "vertices"))
+    return validate_simplex(_coordinate_rows(text, "vertices"))
 
 
 def parse_points_json(text: str) -> np.ndarray:
     """Parse a {"points": [[...], ...]} document into an (N, n) array."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return _coordinate_rows(doc, "points")
+    return _coordinate_rows(text, "points")
 
 
 def load_simplex(path) -> Simplex:

@@ -16,17 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import vertex_radicand
+from .apollonius import radicands
 from .core import (
     REGULAR_RTOL,
     Simplex,
     barycenter,
+    check_int,
+    check_positive,
     edge_profile,
     edge_spread,
+    regular_simplex,
     squared_distance_matrix,
+    validate_simplex,
 )
 from .enclosing import exact_meb, jung_bound
-from .errors import DimensionMismatch, InvalidDimension, NotFullDimensional
+from .errors import DimensionMismatch, NotFullDimensional
 
 # Condition number above which the facet-plane system is flagged.
 _INCENTER_COND_LIMIT = 1e8
@@ -149,22 +153,20 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
     the direct coordinate distance.
     """
     sq = squared_distance_matrix(s)
-    center = barycenter(s)
-    best = math.inf
-    argmin = 0
+    floored, _ = radicands(sq)
+    values = np.sqrt(floored) / (s.m * (s.m + 1))
+    centroids = (s.vertices.sum(axis=0) - s.vertices) / s.m
+    direct = np.linalg.norm(barycenter(s) - centroids, axis=1)
     scale = 1.0 + math.sqrt(float(sq.max()))
-    for i in range(s.m + 1):
-        value = math.sqrt(vertex_radicand(s, i, sq)) / (s.m * (s.m + 1))
-        keep = [k for k in range(s.m + 1) if k != i]
-        direct = float(np.linalg.norm(center - s.vertices[keep].mean(axis=0)))
-        if abs(value - direct) > 1e-6 * scale:
-            raise ArithmeticError(
-                f"edge-length and coordinate routes disagree at face {i}: "
-                f"{value!r} vs {direct!r}"
-            )
-        if value < best:
-            best, argmin = value, i
-    return best, argmin
+    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * scale)
+    if bad.size:
+        i = int(bad[0])
+        raise ArithmeticError(
+            f"edge-length and coordinate routes disagree at face {i}: "
+            f"{float(values[i])!r} vs {float(direct[i])!r}"
+        )
+    argmin = int(np.argmin(values))
+    return float(values[argmin]), argmin
 
 
 def thickness(s: Simplex) -> tuple[float, float]:
@@ -225,10 +227,8 @@ def regular_width(n: int, diam: float) -> float:
 
     The odd and even cases have different closed forms.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimension(f"n must be a positive integer, got {n!r}")
-    if not (diam > 0 and math.isfinite(diam)):
-        raise ValueError(f"diam must be a positive finite real, got {diam!r}")
+    check_int("n", n, 1)
+    check_positive("diam", diam)
     if n % 2 == 1:
         return math.sqrt(2.0 / (n + 1.0)) * diam
     return math.sqrt(2.0 * (n + 1.0)) / math.sqrt(n * (n + 2.0)) * diam
@@ -236,10 +236,8 @@ def regular_width(n: int, diam: float) -> float:
 
 def steinhagen_bound(n: int, inradius: float) -> float:
     """Upper bound on the width of a convex body in R^n from its inradius."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimension(f"n must be a positive integer, got {n!r}")
-    if not (inradius > 0 and math.isfinite(inradius)):
-        raise ValueError(f"inradius must be a positive finite real, got {inradius!r}")
+    check_int("n", n, 1)
+    check_positive("inradius", inradius)
     if n % 2 == 1:
         return 2.0 * math.sqrt(n) * inradius
     return 2.0 * (n + 1.0) / math.sqrt(n + 2.0) * inradius
@@ -286,10 +284,7 @@ def gale_diameter_check(n: int) -> tuple[float, float]:
     Returns (closed form sqrt(n (n+1) / 2), the numerically measured
     diameter after rescaling a unit-edge regular simplex).
     """
-    from .core import regular_simplex, validate_simplex
-
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimension(f"n must be a positive integer, got {n!r}")
+    check_int("n", n, 1)
     base = regular_simplex(n, n, 1.0)
     inradius, _ = barycentric_inradius(base)
     scaled = validate_simplex(base.vertices / (2.0 * inradius))

@@ -6,6 +6,7 @@ import pytest
 from simplexgeo import (
     apollonius_residual,
     barycenter,
+    barycentric_circumradius,
     carnot_regular_check,
     commandino_ratio,
     edge_profile,
@@ -16,6 +17,8 @@ from simplexgeo import (
     regular_simplex,
     validate_simplex,
 )
+from simplexgeo.apollonius import radicands
+from simplexgeo.core import squared_distance_matrix
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import IndexOutOfRange, NegativeRadicand, NotRegular
 
@@ -80,20 +83,20 @@ class TestApolloniusResidual:
     def test_negative_radicand_raises(self):
         # Inconsistent edge data cannot arise from real vertices, so drive
         # the helper directly with a poisoned squared-distance matrix.
-        from simplexgeo.apollonius import vertex_radicand
+        from simplexgeo.apollonius import radicands
 
-        s = corner_triangle()
         sq = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 100.0], [1.0, 100.0, 0.0]])
         with pytest.raises(NegativeRadicand):
-            vertex_radicand(s, 0, sq)
+            radicands(sq)
 
     def test_tiny_negative_radicand_clamped(self):
-        from simplexgeo.apollonius import vertex_radicand
+        from simplexgeo.apollonius import radicands
 
-        s = corner_triangle()
         sq = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 4.0], [1.0, 4.0, 0.0]])
         sq[1, 2] = sq[2, 1] = 4.0 + 4e-9  # radicand -4e-9, inside the floor
-        assert vertex_radicand(s, 0, sq) == 0.0
+        floored, raw = radicands(sq)
+        assert floored[0] == 0.0
+        assert raw[0] < 0.0
 
 
 class TestCommandino:
@@ -224,3 +227,32 @@ def test_rigid_invariance_of_reported_lengths():
             assert commandino_ratio(s, i)[1] == pytest.approx(
                 commandino_ratio(moved, i)[1], rel=1e-8
             )
+
+
+def test_vectorised_radicands_match_per_vertex_loop(mixed_corpus):
+    """Radicands and the reports built on them equal a per-vertex loop exactly."""
+    for s in mixed_corpus[:300]:
+        sq = squared_distance_matrix(s)
+        floored, raw = radicands(sq)
+        total = float(sq[np.triu_indices(s.m + 1, 1)].sum())
+        center = barycenter(s)
+        report = median_sums(s)
+        best, argmax = -1.0, 0
+        sum_medians = sum_center = 0.0
+        for i in range(s.m + 1):
+            star = float(sq[i].sum())
+            radicand = s.m * star - (total - star)
+            assert raw[i] == radicand
+            assert floored[i] == max(radicand, 0.0)
+            assert report.median_lengths[i] == math.sqrt(floored[i]) / s.m
+            assert report.apollonius_residuals[i] == apollonius_residual(s, i)
+            if floored[i] > best:
+                best, argmax = floored[i], i
+            med = s.vertices[i] - face_centroid(s, i)
+            sum_medians += float(med @ med)
+            gap = center - s.vertices[i]
+            sum_center += float(gap @ gap)
+        assert barycentric_circumradius(s) == (math.sqrt(best) / (s.m + 1), argmax)
+        assert report.sum_squares_medians == sum_medians
+        assert report.sum_squares_center_to_vertices == sum_center
+        assert report.sum_squares_edges == total

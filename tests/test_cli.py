@@ -18,6 +18,7 @@ from simplexgeo import barycentric_circumradius, regular_simplex, validate_simpl
 from simplexgeo.cli import (
     EXIT_CAP,
     EXIT_DEGENERATE,
+    EXIT_FAILURE,
     EXIT_MAX_ITER,
     EXIT_NO_SIGN,
     EXIT_OK,
@@ -399,3 +400,123 @@ class TestDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
+
+
+def assert_clean_error(out, err):
+    """Nothing on stdout; one ``error:`` line and no traceback on stderr."""
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.count("error:") == 1
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "flags", [["--tol", "-1"], ["--tol", "nan"], ["--max-iter", "0"]]
+    )
+    def test_solve(self, tmp_path, capsys, flags):
+        path = write_simplex(tmp_path, "seg.json", [(0.0,), (1.0,)])
+        code, out, err = run_cli(["solve", "linear-0.7", str(path), *flags], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--coord-range", "-5"], ["--coord-range", "inf"], ["--count", "-1"]],
+    )
+    def test_corpus(self, capsys, flags):
+        code, out, err = run_cli(["corpus", *flags], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
+
+class TestNumericalFailure:
+    """Overflowing input exits 1 with one error line instead of a traceback."""
+
+    def test_analyze_overflow(self, tmp_path, capsys):
+        path = write_simplex(tmp_path, "big.json", [(1e155, 0), (0, 1e155), (0, 0)])
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+
+    def test_regular_overflow(self, capsys):
+        code, out, err = run_cli(["regular", "--m", "2", "--n", "2", "--diam", "1e300"], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+
+    def test_enclose_overflow(self, tmp_path, capsys):
+        path = write_points(tmp_path, "big.json", [(1e200, 0), (0, 1e200), (0, 0)])
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+
+
+class TestSchema:
+    """Schema 1 key sets; report field names are the payload keys."""
+
+    def test_analyze_keys(self, tmp_path, capsys):
+        path = write_simplex(tmp_path, "tet.json", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_OK
+        envelope = parse_envelope(out)
+        assert set(envelope) == {"command", "input_digest", "payload", "schema_version"}
+        payload = envelope["payload"]
+        assert set(payload) == {"simplex", "medians", "enclosure", "metrics"}
+        assert set(payload["simplex"]) == {"m", "n", "vertices"}
+        assert set(payload["medians"]) == {
+            "median_lengths",
+            "apollonius_residuals",
+            "sum_squares_medians",
+            "sum_squares_center_to_vertices",
+            "sum_squares_edges",
+        }
+        assert set(payload["enclosure"]) == {
+            "barycentric_circumradius",
+            "jung_bound",
+            "combined_bound",
+            "meb_radius",
+            "meb_center",
+            "barycenter",
+            "argmax_vertex",
+        }
+        assert set(payload["metrics"]) == {
+            "barycentric_inradius",
+            "barycentric_inradius_estimate",
+            "thickness",
+            "thickness_estimate",
+            "exact_inradius",
+            "exact_incenter",
+            "diam",
+            "shor",
+        }
+
+    def test_solve_step_and_trace_keys(self, tmp_path, capsys):
+        path = write_simplex(tmp_path, "seg.json", [(0.0,), (1.0,)])
+        trace = tmp_path / "steps.jsonl"
+        argv = ["solve", "linear-0.7", str(path), "--tol", "1e-3", "--trace", str(trace)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == EXIT_OK
+        payload = parse_envelope(out)["payload"]
+        assert set(payload) == {
+            "function",
+            "tol",
+            "max_iter",
+            "converged",
+            "iterations",
+            "final_approximation",
+            "final_error_estimate",
+            "residual_norm",
+            "steps",
+        }
+        step_keys = {
+            "depth",
+            "child_choice",
+            "diam",
+            "shor",
+            "error_estimate",
+            "kearfott_bound",
+            "barycenter",
+        }
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(records) == len(payload["steps"]) > 1
+        for step, record in zip(payload["steps"], records):
+            assert set(step) == set(record) == step_keys

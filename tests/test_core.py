@@ -91,7 +91,7 @@ class TestEdgeProfile:
 
     def test_segment(self):
         prof = edge_profile(validate_simplex([[0.0], [3.0]]))
-        assert prof.lengths == {(0, 1): 3.0}
+        assert np.array_equal(prof.lengths, [[0.0, 3.0], [3.0, 0.0]])
         assert prof.diam == prof.shor == 3.0
 
     def test_tie_break_lexicographic(self):
@@ -113,8 +113,7 @@ class TestEdgeProfile:
             moved = validate_simplex(s.vertices @ q.T + shift)
             a = edge_profile(s)
             b = edge_profile(moved)
-            for key, val in a.lengths.items():
-                assert b.lengths[key] == pytest.approx(val, rel=1e-9)
+            assert b.lengths == pytest.approx(a.lengths, rel=1e-9)
             assert b.diam == pytest.approx(a.diam, rel=1e-9)
             assert b.shor == pytest.approx(a.shor, rel=1e-9)
 
@@ -164,7 +163,7 @@ class TestBarycenterAndFaces:
 class TestRegularSimplex:
     def test_unit_triangle_edges(self):
         prof = edge_profile(regular_simplex(2, 2, 1.0))
-        assert all(abs(l - 1.0) < 1e-14 for l in prof.lengths.values())
+        assert np.all(np.abs(prof.lengths[np.triu_indices(3, 1)] - 1.0) < 1e-14)
 
     def test_edge_spread_tight(self):
         for m, n, diam in [(1, 1, 1.0), (2, 5, 2.0), (3, 3, 1.0), (7, 12, 0.25), (8, 8, 3.0)]:
@@ -212,5 +211,34 @@ def seeded_simplices(draw):
 @given(seeded_simplices())
 def test_diam_dominates_every_length(s: Simplex):
     prof = edge_profile(s)
-    assert all(prof.shor <= l <= prof.diam for l in prof.lengths.values())
-    assert len(prof.lengths) == (s.m + 1) * s.m // 2
+    upper = prof.lengths[np.triu_indices(s.m + 1, 1)]
+    assert np.all((prof.shor <= upper) & (upper <= prof.diam))
+    assert prof.lengths.shape == (s.m + 1, s.m + 1)
+    assert np.array_equal(prof.lengths, prof.lengths.T)
+    assert np.all(np.diag(prof.lengths) == 0.0)
+    assert not prof.lengths.flags.writeable
+
+
+def test_edge_profile_matches_pair_scan(mixed_corpus):
+    """The matrix-based profile equals a lexicographic scan of the pairs.
+
+    The origin plus the standard basis of R^k has exact ties among both
+    its longest and its shortest edges.
+    """
+    corners = [validate_simplex(np.vstack([np.zeros(k), np.eye(k)])) for k in range(1, 7)]
+    for s in list(mixed_corpus[:300]) + corners:
+        prof = edge_profile(s)
+        gaps = s.vertices[:, None, :] - s.vertices[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", gaps, gaps))
+        diam = shor = dist[0, 1]
+        diam_edge = shor_edge = (0, 1)
+        for i in range(s.m + 1):
+            for j in range(i + 1, s.m + 1):
+                d = float(dist[i, j])
+                assert prof.lengths[i, j] == prof.lengths[j, i] == d
+                if d > diam:
+                    diam, diam_edge = d, (i, j)
+                if d < shor:
+                    shor, shor_edge = d, (i, j)
+        assert (prof.diam, prof.diam_edge) == (diam, diam_edge)
+        assert (prof.shor, prof.shor_edge) == (shor, shor_edge)

@@ -14,7 +14,6 @@ from simplexgeo import (
     exact_meb_support,
     fermat_sum_regular,
     jung_bound,
-    regular_circumradius,
     regular_simplex,
     set_barycentric_circumradius,
     validate_simplex,
@@ -90,8 +89,7 @@ class TestJungBound:
         for m in range(1, 9):
             s = regular_simplex(m, m, 2.0)
             radius, _ = barycentric_circumradius(s)
-            assert radius == pytest.approx(jung_bound(2.0, m), rel=1e-12)
-            assert radius == pytest.approx(regular_circumradius(m, 2.0), rel=1e-13)
+            assert radius == pytest.approx(jung_bound(2.0, m), rel=1e-13)
 
     def test_guards(self):
         with pytest.raises(InvalidDimension):
@@ -261,9 +259,10 @@ class TestBlumenthalWahlin:
 
 class TestRegularClosedForms:
     def test_regular_circumradius_values(self):
-        assert regular_circumradius(2, 1.0) == pytest.approx(1 / math.sqrt(3), rel=1e-15)
-        assert regular_circumradius(3, 1.0) == pytest.approx(math.sqrt(3 / 8), rel=1e-15)
-        assert regular_circumradius(1, 2.0) == pytest.approx(1.0, abs=0)
+        # Jung's bound in R^m is the regular m-simplex's circumradius.
+        assert jung_bound(1.0, 2) == pytest.approx(1 / math.sqrt(3), rel=1e-15)
+        assert jung_bound(1.0, 3) == pytest.approx(math.sqrt(3 / 8), rel=1e-15)
+        assert jung_bound(2.0, 1) == pytest.approx(1.0, abs=0)
 
     def test_fermat_sum(self):
         measured, closed = fermat_sum_regular(regular_simplex(2, 2, 1.0))
