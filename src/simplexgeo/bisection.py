@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Simplex, barycenter, check_int, check_positive, edge_profile
+from .core import EdgeProfile, Simplex, barycenter, check_int, check_positive, edge_profile
 from .errors import (
     DimensionMismatch,
     EvaluationFailure,
@@ -112,8 +112,10 @@ def error_estimate(s: Simplex) -> float:
     Uses both the longest and the shortest edge, so it is tighter than
     the coarse m/(m+1) * diam cap whenever the edges are uneven.
     """
-    profile = edge_profile(s)
-    m = s.m
+    return _edge_error_bound(edge_profile(s), s.m)
+
+
+def _edge_error_bound(profile: EdgeProfile, m: int) -> float:
     radicand = profile.diam**2 - (m - 1.0) / (2.0 * m) * profile.shor**2
     if radicand < 0.0:
         raise NegativeRadicand(
@@ -155,7 +157,7 @@ def _record(s: Simplex, depth: int, choice: str | None, m: int, diam0: float) ->
         child_choice=choice,
         diam=profile.diam,
         shor=profile.shor,
-        error_estimate=error_estimate(s),
+        error_estimate=_edge_error_bound(profile, m),
         kearfott_bound=kearfott_bound(depth, m, diam0),
         barycenter=barycenter(s),
     )

@@ -60,7 +60,7 @@ EXIT_UNKNOWN_FUNCTION = 7
 # Exception types and their exit code; the first matching row wins, so
 # InvalidDimension, also a ValueError, exits 2 rather than 1.
 _EXIT_CODES = (
-    ((FileNotFoundError, ParseError, InvalidPoint, TooFewPoints), EXIT_PARSE),
+    ((OSError, ParseError, InvalidPoint, TooFewPoints), EXIT_PARSE),
     ((DimensionMismatch, InvalidDimension, IndexOutOfRange), EXIT_PARSE),
     ((Degenerate, AllDegenerate, NegativeRadicand), EXIT_DEGENERATE),
     (CapExceeded, EXIT_CAP),
@@ -142,13 +142,16 @@ def cmd_analyze(paths) -> int:
     return EXIT_OK
 
 
-def _set_diameter(pts: np.ndarray) -> float:
-    best = 0.0
-    for row in range(pts.shape[0] - 1):
-        gaps = pts[row + 1 :] - pts[row]
+def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float) -> float:
+    # |p - q| <= |p - center| + radius, so a pair beating the one from the point
+    # farthest from the center has both ends where that sum reaches its length.
+    dist = np.linalg.norm(pts - center, axis=1)
+    gaps = pts - pts[np.argmax(dist)]
+    best = float(np.max(np.einsum("ij,ij->i", gaps, gaps)))
+    kept = pts[dist + radius >= math.sqrt(best) * (1.0 - 1e-9)]
+    for row in range(kept.shape[0] - 1):
+        gaps = kept[row + 1 :] - kept[row]
         best = max(best, float(np.max(np.einsum("ij,ij->i", gaps, gaps))))
-    if not math.isfinite(best):
-        raise OverflowError("squared point distances overflow the float range")
     return math.sqrt(best)
 
 
@@ -159,6 +162,9 @@ def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) ->
         raise DimensionMismatch(
             f"points live in R^{pts.shape[1]} but --n {dim} was given"
         )
+    with np.errstate(over="ignore"):  # bounds every squared distance formed below
+        if not math.isfinite(float(np.sum(np.ptp(pts, axis=0) ** 2))):
+            raise OverflowError("squared point distances overflow the float range")
     center, radius, support = enclosing.exact_meb_support(pts)
     payload = {
         "count": int(pts.shape[0]),
@@ -170,7 +176,7 @@ def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) ->
         },
     }
     if pts.shape[0] >= 2:
-        diam = _set_diameter(pts)
+        diam = _set_diameter(pts, center, radius)
         jung = enclosing.jung_bound(diam, dim)
         bounds = [jung]
         payload["diam"] = diam

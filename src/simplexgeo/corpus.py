@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Simplex, check_int, check_positive, validate_simplex
-from .errors import Degenerate
+from .errors import Degenerate, InvalidDimension
 
 
 def random_simplex(rng: np.random.Generator, m: int, n: int, coord_range: float = 10.0) -> Simplex:
@@ -41,6 +41,8 @@ def generate(
     and m <= n <= n_max.
     """
     check_int("count", count, 0)
+    if n is None and m is not None and m > n_max:
+        raise InvalidDimension(f"m = {m} exceeds n_max = {n_max}, the largest drawn n; give n too")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):

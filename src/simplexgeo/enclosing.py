@@ -81,16 +81,15 @@ def jung_bound(diam: float, n: int) -> float:
 
 
 def _coerce_points(points) -> np.ndarray:
-    pts = [np.asarray(p, dtype=float) for p in points]
-    if not pts:
+    try:
+        pts = np.asarray(points, dtype=float)
+    except ValueError as exc:  # ragged rows
+        raise DimensionMismatch("points must share one coordinate dimension") from exc
+    if pts.shape[:1] == (0,):
         raise EmptyInput("point list is empty")
-    n = pts[0].size
-    for p in pts:
-        if p.ndim != 1 or p.size != n or not np.all(np.isfinite(p)):
-            raise DimensionMismatch(
-                "points must share one finite coordinate dimension"
-            )
-    return np.vstack(pts)
+    if pts.ndim != 2 or not np.isfinite(pts).all():
+        raise DimensionMismatch("points must share one finite coordinate dimension")
+    return pts
 
 
 def _support_ball(pts: np.ndarray) -> tuple[np.ndarray, float]:

@@ -57,11 +57,17 @@ def parse_points_json(text: str) -> np.ndarray:
     return _coordinate_rows(text, "points")
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+
+
 def load_simplex(path) -> Simplex:
-    with open(path, encoding="utf-8") as fh:
-        return parse_simplex_json(fh.read())
+    return parse_simplex_json(_read_text(path))
 
 
 def load_points(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return parse_points_json(fh.read())
+    return parse_points_json(_read_text(path))

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,9 +25,11 @@ from simplexgeo.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNKNOWN_FUNCTION,
+    _set_diameter,
     main,
     render_json,
 )
+from simplexgeo.enclosing import exact_meb_support
 
 from conftest import brute_force_meb
 
@@ -172,6 +175,18 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert "error:" in err
 
+    def test_directory_input(self, tmp_path, capsys):
+        code, out, err = run_cli(["analyze", str(tmp_path)], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'\xff{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
 
 class TestEnclose:
     def test_unit_square(self, tmp_path, capsys):
@@ -232,6 +247,56 @@ class TestEnclose:
         payload = parse_envelope(out)["payload"]
         assert payload["meb"]["radius"] == 0.0
         assert "diam" not in payload
+
+    def test_directory_input(self, tmp_path, capsys):
+        code, out, err = run_cli(["enclose", str(tmp_path)], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
+
+def all_pairs_diameter(pts):
+    """Every pair, with the per-pair expression the pruned scan uses."""
+    best = 0.0
+    for row in range(pts.shape[0] - 1):
+        gaps = pts[row + 1 :] - pts[row]
+        best = max(best, float(np.max(np.einsum("ij,ij->i", gaps, gaps))))
+    return math.sqrt(best)
+
+
+def shell_cloud(rng, count, n):
+    pts = rng.normal(size=(count, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return pts * rng.uniform(0.9, 1.0, size=(count, 1))
+
+
+def circle(count):
+    angles = 2.0 * math.pi * np.arange(count) / count
+    return 3.0 * np.column_stack([np.cos(angles), np.sin(angles)]) + 1.5
+
+
+class TestSetDiameter:
+    """The ball-pruned diameter equals the all-pairs maximum exactly."""
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.random.default_rng(1).normal(size=(1500, 2)),
+            np.random.default_rng(2).normal(size=(800, 5)) * 1e-3 + 7.0,
+            np.random.default_rng(3).normal(size=(400, 10)),
+            shell_cloud(np.random.default_rng(4), 1500, 2),
+            shell_cloud(np.random.default_rng(5), 600, 5),
+            circle(2000),  # nothing is pruned: any point may end a longest pair
+            np.repeat(np.random.default_rng(6).normal(size=(40, 3)), 5, axis=0),
+            np.full((50, 2), 1.25),
+            np.outer(np.random.default_rng(7).uniform(-4, 9, size=300), [1.0, -2.0, 0.5]),
+            np.array([[0.0, 1.0], [3.0, 5.0]]),
+        ],
+        ids=["gauss-2", "gauss-5-offset", "gauss-10", "shell-2", "shell-5",
+             "circle-2000", "duplicates", "one-point-repeated", "collinear", "two-points"],
+    )
+    def test_matches_all_pairs(self, pts):
+        center, radius, _ = exact_meb_support(pts)
+        assert _set_diameter(pts, center, radius) == all_pairs_diameter(pts)
 
 
 class TestSolve:
@@ -428,6 +493,12 @@ class TestArgumentErrors:
         assert code == EXIT_PARSE
         assert_clean_error(out, err)
 
+    def test_corpus_m_above_drawn_n(self, capsys):
+        code, out, err = run_cli(["corpus", "--m", "14"], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+        assert "m = 14" in err
+
 
 class TestNumericalFailure:
     """Overflowing input exits 1 with one error line instead of a traceback."""
@@ -445,9 +516,13 @@ class TestNumericalFailure:
 
     def test_enclose_overflow(self, tmp_path, capsys):
         path = write_points(tmp_path, "big.json", [(1e200, 0), (0, 1e200), (0, 0)])
-        code, out, err = run_cli(["enclose", str(path)], capsys)
+        # The overflow is caught before the search, so numpy warns nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["enclose", str(path)], capsys)
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSchema:

@@ -167,6 +167,27 @@ class TestExactMeb:
         with pytest.raises(CapExceeded):
             exact_meb(np.random.default_rng(0).uniform(size=(10001, 2)))
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [[0.0, 0.0], [1.0]],
+            [[0.0, 0.0], [1.0, 2.0, 3.0]],
+            [[0.0, 0.0], [float("nan"), 1.0]],
+            [[0.0, float("inf")]],
+            [1.0, 2.0, 3.0],
+            np.array([1.0, 2.0]),
+            [[[0.0, 0.0]]],
+        ],
+        ids=["ragged", "ragged-long", "nan", "inf", "flat-list", "flat-array", "3d"],
+    )
+    def test_malformed_points(self, points):
+        with pytest.raises(DimensionMismatch):
+            exact_meb(points)
+
+    def test_empty_array(self):
+        with pytest.raises(EmptyInput):
+            exact_meb(np.zeros((0, 2)))
+
 
 class TestCombinedEnclosure:
     def test_derived_triangle(self):
