@@ -4,8 +4,8 @@ The barycentric circumradius is the distance from the barycenter to the
 farthest vertex, computable from edge lengths alone.  Centered at the
 barycenter it encloses the simplex, so the exact minimum enclosing ball
 radius never exceeds it; Jung's bound provides a second cap in terms of
-the diameter.  The exact ball comes from a randomized incremental
-move-to-front search with a deterministic seed.
+the diameter.  The exact ball comes from an active-set walk that
+certifies the ball when it stops (see ``_walk``).
 """
 
 from __future__ import annotations
@@ -40,9 +40,16 @@ MEB_MAX_DIM = 10
 MEB_MAX_POINTS = 10000
 SUBSET_MAX_POINTS = 15
 
-# Relative slack for the in-ball test inside the incremental search; the
-# final radius is inflated to cover every input point exactly.
+# Tolerances of the walk, relative to the radius r: a center within
+# _IN_BALL_RTOL * r of the circumcenter has reached it, a coefficient above
+# -_IN_BALL_RTOL is nonnegative, and a new support point must lie off the
+# support's affine hull by more than _AFFINE_RTOL * r, which keeps the
+# support affinely independent.  The final radius covers every point.
 _IN_BALL_RTOL = 1e-12
+_AFFINE_RTOL = 1e-9
+# Each step of the walk adds or drops one support point.  The most seen
+# was 130 steps, for 10^4 points in a thin shell in R^10.
+WALK_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -92,49 +99,57 @@ def _coerce_points(points) -> np.ndarray:
     return pts
 
 
-def _support_ball(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Smallest ball with every given point on its boundary.
+def _support_ball(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circumcenter of affinely independent points within their affine hull.
 
-    Solves the Gram system for the circumcenter within the affine hull of
-    the points; a least-squares fallback covers affinely dependent sets.
+    Returns the center, its barycentric coefficients on the points and an
+    orthonormal basis of the hull's directions.
     """
-    if pts.shape[0] == 1:
-        return pts[0].copy(), 0.0
     rel = pts[1:] - pts[0]
-    gram = rel @ rel.T
-    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    try:
-        coef = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    center = pts[0] + coef @ rel
-    return center, float(np.linalg.norm(center - pts[0]))
+    basis, tri = np.linalg.qr(rel.T)
+    half = np.linalg.solve(tri.T, 0.5 * np.einsum("ij,ij->i", rel, rel))
+    coef = np.linalg.solve(tri, half)
+    return pts[0] + basis @ half, np.concatenate(([1.0 - coef.sum()], coef)), basis
 
 
-def _welzl(pts: np.ndarray, order: list, end: int, support: tuple):
-    """Minimum ball of pts[order[:end]] with ``support`` pinned to the boundary."""
-    n = pts.shape[1]
-    if support:
-        center, radius = _support_ball(pts[list(support)])
-    else:
-        center, radius = None, -1.0
-    best_support = support
-    if len(support) == n + 1:
-        return center, radius, best_support
-    i = 0
-    while i < end:
-        idx = order[i]
-        outside = center is None
-        if not outside:
-            gap = pts[idx] - center
-            outside = gap @ gap > radius * radius * (1.0 + _IN_BALL_RTOL)
-        if outside:
-            center, radius, best_support = _welzl(pts, order, i, support + (idx,))
-            # Move-to-front keeps frequently-binding points early.
-            order.pop(i)
-            order.insert(0, idx)
-        i += 1
-    return center, radius, best_support
+def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
+    """Center and support of the minimum enclosing ball, by the active-set
+    walk of Fischer, Gaertner and Kutz (ESA 2003).
+
+    The ball about ``center`` through the support points covers every
+    point.  The center moves toward the support's circumcenter until a
+    point reaches the sphere and joins the support; at the circumcenter,
+    the support point with the most negative coefficient is dropped.  The
+    walk stops at a circumcenter with no negative coefficient: the center
+    then lies in the support's hull, which certifies the ball.
+    """
+    center = pts.mean(axis=0)
+    support = [int(np.argmax(np.einsum("ij,ij->i", pts - center, pts - center)))]
+    for _ in range(WALK_MAX_STEPS):
+        target, coef, basis = _support_ball(pts[support])
+        rel = pts - center
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+        r2 = float(dist2.max())
+        step = target - center
+        # Remove rounding along the hull, so points of the hull cannot stop the walk.
+        step -= basis @ (basis.T @ step)
+        step2 = float(step @ step)
+        if step2 > _IN_BALL_RTOL**2 * r2:
+            # At center + t * step, p is as far as the support when
+            # t = (r2 - dist2) / (2 * den); ties go to the lowest index.
+            den = step2 - rel @ step
+            admit = den > _AFFINE_RTOL * math.sqrt(step2) * math.sqrt(r2)  # no overflow
+            t = np.divide(r2 - dist2, 2.0 * den, out=np.full(len(pts), np.inf), where=admit)
+            stop = int(np.argmin(t))
+            if t[stop] < 1.0:
+                center = center + t[stop] * step
+                support.append(stop)
+                continue
+        center = target
+        if coef.min() >= -_IN_BALL_RTOL:
+            return center, support
+        support.pop(int(np.argmin(coef)))
+    raise ArithmeticError(f"exact ball walk did not converge in {WALK_MAX_STEPS} steps")
 
 
 def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
@@ -147,11 +162,10 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
         raise CapExceeded(
             f"exact ball supports <= {MEB_MAX_POINTS} points, got {count}"
         )
-    order = list(np.random.default_rng(0).permutation(count))
-    center, radius, support = _welzl(pts, order, count, ())
+    center, support = _walk(pts)
     # Cover every point exactly; the inflation is at rounding scale.
-    radius = max(radius, float(np.sqrt(((pts - center) ** 2).sum(axis=1).max())))
-    return center, radius, support
+    radius = float(np.sqrt(((pts - center) ** 2).sum(axis=1).max()))
+    return center, radius, tuple(sorted(support))
 
 
 def exact_meb(points) -> tuple[np.ndarray, float]:

@@ -8,6 +8,7 @@ rejected at parse time.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -30,18 +31,18 @@ def _coordinate_rows(text: str, key: str) -> np.ndarray:
     rows = doc[key]
     if not isinstance(rows, list) or not rows:
         raise ParseError(f'"{key}" must be a non-empty list of coordinate lists')
-    width = None
-    for row in rows:
-        if not isinstance(row, list) or not row:
-            raise ParseError("every entry must be a non-empty coordinate list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError("coordinate lists must share one length")
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
-                raise ParseError(f"coordinate {x!r} is not a number")
-    arr = np.asarray(rows, dtype=float)
+    if set(map(type, rows)) != {list} or not all(rows):
+        raise ParseError("every entry must be a non-empty coordinate list")
+    if len(set(map(len, rows))) != 1:
+        raise ParseError("coordinate lists must share one length")
+    # bool is its own type, so true/false fail here too.
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        bad = next(x for row in rows for x in row if type(x) not in (int, float))
+        raise ParseError(f"coordinate {bad!r} is not a number")
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError("coordinates must be finite") from exc
     if not np.all(np.isfinite(arr)):
         raise ParseError("coordinates must be finite")
     return arr

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexgeo import barycentric_circumradius, regular_simplex, validate_simplex
+from simplexgeo import barycentric_circumradius, enclosing, regular_simplex, validate_simplex
 from simplexgeo.cli import (
     EXIT_CAP,
     EXIT_DEGENERATE,
@@ -187,6 +187,18 @@ class TestAnalyze:
         assert code == EXIT_PARSE
         assert_clean_error(out, err)
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1' + "0" * 400 + "]]}")
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
+
+def circle(count):
+    angles = 2.0 * math.pi * np.arange(count) / count
+    return 3.0 * np.column_stack([np.cos(angles), np.sin(angles)]) + 1.5
+
 
 class TestEnclose:
     def test_unit_square(self, tmp_path, capsys):
@@ -253,6 +265,39 @@ class TestEnclose:
         assert code == EXIT_PARSE
         assert_clean_error(out, err)
 
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"points": [[1, 1' + "0" * 400 + "], [0, 0]]}")
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            circle(2000),
+            np.repeat(np.random.default_rng(6).normal(size=(40, 3)), 5, axis=0),
+            np.outer(np.random.default_rng(7).uniform(-4, 9, size=300), [1.0, -2.0, 0.5]),
+        ],
+        ids=["cospherical", "duplicates", "collinear"],
+    )
+    def test_degenerate_sets(self, tmp_path, capsys, points):
+        path = write_points(tmp_path, "degenerate.json", points)
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        payload = parse_envelope(out)["payload"]
+        assert payload["meb"]["radius"] <= payload["jung_bound"]
+        assert payload["bounds_hold"] is True
+
+    def test_walk_cap_exits_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(enclosing, "WALK_MAX_STEPS", 1)
+        path = write_points(tmp_path, "cloud.json", np.random.default_rng(8).normal(size=(30, 3)))
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 def all_pairs_diameter(pts):
     """Every pair, with the per-pair expression the pruned scan uses."""
@@ -267,11 +312,6 @@ def shell_cloud(rng, count, n):
     pts = rng.normal(size=(count, n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return pts * rng.uniform(0.9, 1.0, size=(count, 1))
-
-
-def circle(count):
-    angles = 2.0 * math.pi * np.arange(count) / count
-    return 3.0 * np.column_stack([np.cos(angles), np.sin(angles)]) + 1.5
 
 
 class TestSetDiameter:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexgeo import (
     barycenter,
@@ -29,7 +31,7 @@ from simplexgeo.errors import (
     TooFewPoints,
 )
 
-from conftest import brute_force_meb
+from conftest import brute_force_meb, random_rigid_motion
 
 
 def derived_obtuse_triangle():
@@ -187,6 +189,209 @@ class TestExactMeb:
     def test_empty_array(self):
         with pytest.raises(EmptyInput):
             exact_meb(np.zeros((0, 2)))
+
+
+def _welzl_support_ball(pts):
+    """Smallest ball with every given point on its boundary."""
+    if pts.shape[0] == 1:
+        return pts[0].copy(), 0.0
+    rel = pts[1:] - pts[0]
+    gram = rel @ rel.T
+    rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
+    try:
+        coef = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        coef, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
+    center = pts[0] + coef @ rel
+    return center, float(np.linalg.norm(center - pts[0]))
+
+
+def _welzl(pts, order, end, support):
+    """Minimum ball of pts[order[:end]] with ``support`` pinned to the boundary."""
+    n = pts.shape[1]
+    if support:
+        center, radius = _welzl_support_ball(pts[list(support)])
+    else:
+        center, radius = None, -1.0
+    best_support = support
+    if len(support) == n + 1:
+        return center, radius, best_support
+    i = 0
+    while i < end:
+        idx = order[i]
+        outside = center is None
+        if not outside:
+            gap = pts[idx] - center
+            outside = gap @ gap > radius * radius * (1.0 + 1e-12)
+        if outside:
+            center, radius, best_support = _welzl(pts, order, i, support + (idx,))
+            # Move-to-front keeps frequently-binding points early.
+            order.pop(i)
+            order.insert(0, idx)
+        i += 1
+    return center, radius, best_support
+
+
+def welzl_meb(points):
+    """Welzl's (1991) randomized move-to-front search, the walk's reference.
+
+    This was the library's exact-ball solver before the active-set walk.
+    """
+    pts = np.asarray(points, dtype=float)
+    order = list(np.random.default_rng(0).permutation(pts.shape[0]))
+    center, radius, support = _welzl(pts, order, pts.shape[0], ())
+    radius = max(radius, float(np.sqrt(((pts - center) ** 2).sum(axis=1).max())))
+    return center, radius, support
+
+
+def assert_certified(pts, center, support):
+    """The walk's stopping condition, checked without the solver's helpers.
+
+    Every support point lies on the sphere, the center is a convex
+    combination of them, and no point lies beyond the sphere.
+    """
+    sup = pts[list(support)]
+    on_sphere = np.linalg.norm(sup - center, axis=1)
+    radius = float(on_sphere.max())
+    assert on_sphere.min() >= radius * (1 - 1e-12)
+    # Coefficients of the center on the support, in units of the radius.
+    system = np.vstack([(sup - center).T / max(radius, 1e-300), np.ones(len(support))])
+    target = np.append(np.zeros(len(center)), 1.0)
+    coeffs, *_ = np.linalg.lstsq(system, target, rcond=None)
+    assert np.linalg.norm(system @ coeffs - target) <= 1e-12
+    assert coeffs.min() >= -1e-12
+    assert np.linalg.norm(pts - center, axis=1).max() <= radius * (1 + 1e-12)
+
+
+def unit_rows(rng, count, n):
+    pts = rng.normal(size=(count, n))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def shell_cloud(rng, count, n):
+    return unit_rows(rng, count, n) * rng.uniform(0.9, 1.0, size=(count, 1))
+
+
+def circle_points(count):
+    angles = 2.0 * math.pi * np.arange(count) / count
+    return 3.0 * np.column_stack([np.cos(angles), np.sin(angles)]) + 1.5
+
+
+def cube_vertices(n):
+    return np.array(list(itertools.product([0.0, 1.0], repeat=n)))
+
+
+def lattice_sphere(n, squared_radius):
+    """Integer points at one distance from the origin: many exact ties."""
+    span = range(-math.isqrt(squared_radius), math.isqrt(squared_radius) + 1)
+    rows = itertools.product(span, repeat=n)
+    return np.array([v for v in rows if sum(x * x for x in v) == squared_radius], dtype=float)
+
+
+GENERIC_SETS = {
+    "gauss-2": lambda rng: rng.normal(size=(500, 2)),
+    "gauss-5": lambda rng: rng.normal(size=(400, 5)),
+    "gauss-10": lambda rng: rng.normal(size=(200, 10)),
+    "shell-2": lambda rng: shell_cloud(rng, 500, 2),
+    "shell-5": lambda rng: shell_cloud(rng, 200, 5),
+    "shell-10": lambda rng: shell_cloud(rng, 80, 10),
+    "gauss-3-at-1e150": lambda rng: 1e150 * rng.normal(size=(300, 3)),
+}
+GENERIC_SETS.update(
+    {f"simplex-{m}": (lambda rng, m=m: random_simplex(rng, m, int(rng.integers(m, 11))).vertices)
+     for m in range(1, 11)}
+)
+
+DEGENERATE_SETS = {
+    "circle-2000": lambda: circle_points(2000),
+    "duplicates": lambda: np.repeat(np.random.default_rng(6).normal(size=(40, 3)), 3, axis=0),
+    "collinear": lambda: np.outer(np.random.default_rng(7).uniform(-4, 9, 300), [1.0, -2.0, 0.5]),
+    "one-point": lambda: np.array([[0.5, -2.0, 7.0]]),
+    "all-equal": lambda: np.full((50, 4), 1.25),
+    "cube-3": lambda: cube_vertices(3),
+    "cube-8": lambda: cube_vertices(8),
+    "cube-8-center-first": lambda: np.vstack([np.full(8, 0.5), cube_vertices(8)]),
+    "regular-simplex-10": lambda: regular_simplex(10, 10, 1.0).vertices,
+    "regular-simplex-4-in-R10": lambda: regular_simplex(4, 10, 2.0).vertices,
+    "regular-simplex-5-twice-with-center": lambda: np.vstack(
+        [np.zeros(5), regular_simplex(5, 5, 1.0).vertices, regular_simplex(5, 5, 1.0).vertices]
+    ),
+    "lattice-sphere-6": lambda: np.vstack([np.zeros(6), lattice_sphere(6, 12)]),
+    # The walk's steps must be kept orthogonal to the support's hull, or a
+    # point of the hull joins the support here.
+    "sphere-in-flat": lambda: np.hstack(
+        [unit_rows(np.random.default_rng(8), 100, 7), np.zeros((100, 1))]
+    ),
+}
+
+
+class TestWalkAgainstWelzl:
+    """The active-set walk against Welzl's search."""
+
+    @pytest.mark.parametrize("name", sorted(GENERIC_SETS))
+    def test_generic_sets_match(self, name):
+        rng = np.random.default_rng(sorted(GENERIC_SETS).index(name))
+        for _ in range(3 if name.startswith("simplex") else 1):
+            pts = GENERIC_SETS[name](rng)
+            center, radius, support = exact_meb_support(pts)
+            want_center, want_radius, want_support = welzl_meb(pts)
+            assert abs(radius - want_radius) <= 1e-14 * want_radius
+            assert np.linalg.norm(center - want_center) <= 1e-14 * want_radius
+            assert list(support) == sorted(want_support)
+            assert_certified(pts, center, support)
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_SETS))
+    def test_degenerate_sets_certified(self, name):
+        # Ties among boundary points may pick a different, equally valid support.
+        pts = DEGENERATE_SETS[name]()
+        center, radius, support = exact_meb_support(pts)
+        _, want_radius, _ = welzl_meb(pts)
+        assert abs(radius - want_radius) <= 1e-14 * want_radius
+        assert_certified(pts, center, support)
+
+    def test_near_cospherical_sets_certified(self):
+        # Points on a circle or sphere, some pulled in by 1e-13 to 1e-12 of
+        # the radius, so the walk reaches circumcenters only to rounding.
+        # Welzl's search counts points within 1e-12 of its sphere as inside,
+        # so the radii agree to that.
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            for n in (2, 3):
+                for rel in (1e-12, 3e-13, 1e-13):
+                    pts = unit_rows(rng, int(rng.integers(3, 12)), n)
+                    pts = 3.0 * pts * (1 - rel * rng.integers(0, 2, size=(len(pts), 1))) + 1.5
+                    center, radius, support = exact_meb_support(pts)
+                    _, want_radius, _ = welzl_meb(pts)
+                    assert abs(radius - want_radius) <= 1e-12 * want_radius
+                    assert_certified(pts, center, support)
+
+    def test_support_is_sorted_and_affinely_independent(self):
+        pts = lattice_sphere(4, 50)
+        _, _, support = exact_meb_support(pts)
+        assert list(support) == sorted(set(support))
+        rel = pts[list(support[1:])] - pts[support[0]]
+        assert np.linalg.matrix_rank(rel) == len(support) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    exponent=st.integers(min_value=-200, max_value=200),
+)
+def test_radius_scale_and_rigid_motion_invariant(seed, exponent):
+    # Scaling by a power of two is exact in binary floating point, so the
+    # radius scales to within one rounding; a rigid motion rounds every
+    # coordinate, so the radius moves by rounding of the coordinates.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    pts = rng.normal(size=(int(rng.integers(1, 150)), n))
+    _, radius = exact_meb(pts)
+    _, scaled = exact_meb(np.ldexp(pts, exponent))
+    assert scaled == pytest.approx(np.ldexp(radius, exponent), rel=1e-15, abs=0)
+    q, shift = random_rigid_motion(rng, n)
+    moved = pts @ q.T + shift
+    _, moved_radius = exact_meb(moved)
+    assert abs(moved_radius - radius) <= 1e-13 * float(np.abs(moved).max())
 
 
 class TestCombinedEnclosure:
