@@ -162,8 +162,9 @@ def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) ->
         raise DimensionMismatch(
             f"points live in R^{pts.shape[1]} but --n {dim} was given"
         )
+    extent = np.ptp(pts, axis=0)
     with np.errstate(over="ignore"):  # bounds every squared distance formed below
-        if not math.isfinite(float(np.sum(np.ptp(pts, axis=0) ** 2))):
+        if not math.isfinite(float(np.sum(extent**2))):
             raise OverflowError("squared point distances overflow the float range")
     center, radius, support = enclosing.exact_meb_support(pts)
     payload = {
@@ -175,7 +176,7 @@ def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) ->
             "support": sorted(int(i) for i in support),
         },
     }
-    if pts.shape[0] >= 2:
+    if extent.any():
         diam = _set_diameter(pts, center, radius)
         jung = enclosing.jung_bound(diam, dim)
         bounds = [jung]

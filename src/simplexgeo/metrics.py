@@ -1,11 +1,13 @@
 """Inradius, thickness, width bounds, and related comparison checks.
 
-The inradius of the ball centered at the barycenter is the minimum
-distance from the barycenter to the faces, each found by Wolfe's
-nearest-point algorithm in time polynomial in the face size.  A cheaper
-estimate replaces each exact face distance by the distance to the face
-centroid, which can only overestimate.  Full-dimensional simplices
-additionally get the true inradius from the facet-plane linear system.
+Both inradii come from the altitudes h_i, read off one triangular factor
+of the edge vectors.  The barycenter lies inside the simplex, so its
+nearest face point is the foot on the nearest facet plane, at distance
+h_i/(m+1).  Full-dimensional simplices additionally get the true
+inradius from 1/r = sum 1/h_i.  A cheaper estimate replaces each face
+distance by the distance to the face centroid, which can only
+overestimate.  The exact point-to-face distance, by Wolfe's nearest-point
+algorithm, is the independent route the test suite checks them against.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .core import (
 from .enclosing import exact_meb, jung_bound
 from .errors import DimensionMismatch, NotFullDimensional
 
-# Condition number above which the facet-plane system is flagged.
+# Condition number of the edge factor above which the incenter is flagged.
 _INCENTER_COND_LIMIT = 1e8
 
 # Optimality slack of the nearest-point search, relative to the squared
@@ -122,27 +124,39 @@ def distance_point_to_face(p, face: Simplex) -> float:
     return _distance_to_hull(point, face.vertices)
 
 
+def _inverse_altitudes(s: Simplex) -> tuple[np.ndarray, float]:
+    """1/h_i for every vertex i, and the condition number of the edge factor.
+
+    With (v_1 - v_0, ..., v_m - v_0) = QR, the barycentric coordinates of a
+    point x of the affine hull are lambda_{1..m} = R^-1 Q^T (x - v_0).  So
+    the rows of R^-1 are the gradients of lambda_1..lambda_m in the basis
+    Q, the gradient of lambda_0 is minus their sum, and the norm of the
+    gradient of lambda_i is 1/h_i, h_i the altitude from vertex i.  The
+    condition number is the Frobenius one, ||R|| ||R^-1||.
+    """
+    factor = np.linalg.qr((s.vertices[1:] - s.vertices[0]).T, mode="r")
+    inverse = np.linalg.inv(factor)
+    grads = np.vstack([-inverse.sum(axis=0), inverse])
+    cond = float(np.linalg.norm(factor) * np.linalg.norm(inverse))
+    return np.linalg.norm(grads, axis=1), cond
+
+
 def barycentric_inradius(s: Simplex) -> tuple[float, int]:
     """Minimum distance from the barycenter to the faces, with its argmin.
 
     Face i is the one opposite vertex i; ties resolve to the smallest
-    index.  For a 1-simplex the faces are the two endpoints.
+    index.  For a 1-simplex the faces are the two endpoints.  The
+    barycenter has every barycentric coordinate 1/(m+1), so its distance
+    to the plane of face i is h_i/(m+1).  The ball of the smallest such
+    radius lies in the simplex and touches that plane inside the face,
+    so the face distances have the same minimum and argmin.
 
-    Worst-case cost: m+1 nearest-point solves, one per facet, each of at
-    most 50 m major cycles and as many minor ones, where a cycle costs
-    O(m^2 n) for a least-squares solve on at most m columns; O(m^4 n) in
-    all.  In practice a solve takes about m cycles.  A solve that reaches
-    its cycle cap raises ArithmeticError.
+    Cost: one QR of the n x m edge matrix and one m x m inverse,
+    O(m^2 n + m^3), with no iteration.
     """
-    center = barycenter(s)
-    best = math.inf
-    argmin = 0
-    for i in range(s.m + 1):
-        keep = [k for k in range(s.m + 1) if k != i]
-        d = _distance_to_hull(center, s.vertices[keep])
-        if d < best:
-            best, argmin = d, i
-    return best, argmin
+    inv_h, _ = _inverse_altitudes(s)
+    argmin = int(np.argmax(inv_h))
+    return 1.0 / ((s.m + 1) * float(inv_h[argmin])), argmin
 
 
 def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
@@ -177,49 +191,27 @@ def thickness(s: Simplex) -> tuple[float, float]:
     return exact / profile.diam, estimate / profile.diam
 
 
-def _facet_plane(verts: np.ndarray, opposite: np.ndarray) -> tuple[np.ndarray, float]:
-    """Inward unit normal and offset of the hyperplane through ``verts``."""
-    n = verts.shape[1]
-    if n == 1:
-        normal = np.array([1.0])
-    else:
-        rel = verts[1:] - verts[0]
-        _, _, vt = np.linalg.svd(rel, full_matrices=True)
-        normal = vt[-1]
-    if normal @ (opposite - verts[0]) < 0.0:
-        normal = -normal
-    return normal, float(normal @ verts[0])
-
-
 def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
     """Incenter and inradius of a full-dimensional simplex.
 
-    Solves the (n+1)-equation system stating that the center is at equal
-    signed distance r from every facet plane.  A condition number beyond
-    1e8 triggers a warning but not a failure.
+    The inradius is r = 1 / sum 1/h_i, and the incenter is the average of
+    the vertices weighted by 1/h_i, which is proportional to the area of
+    the opposite facet.  An edge-factor condition number beyond 1e8
+    triggers a warning but not a failure.
     """
     if s.m != s.n:
         raise NotFullDimensional(
             f"exact inradius needs m == n, got m={s.m}, n={s.n}"
         )
-    n = s.n
-    system = np.empty((n + 1, n + 1))
-    rhs = np.empty(n + 1)
-    for i in range(n + 1):
-        keep = [k for k in range(n + 1) if k != i]
-        normal, offset = _facet_plane(s.vertices[keep], s.vertices[i])
-        system[i, :n] = normal
-        system[i, n] = -1.0
-        rhs[i] = offset
-    cond = np.linalg.cond(system)
+    inv_h, cond = _inverse_altitudes(s)
     if cond > _INCENTER_COND_LIMIT:
         warnings.warn(
-            f"facet-plane system condition number {cond:.3e} exceeds 1e8",
+            f"edge factor condition number {cond:.3e} exceeds 1e8",
             RuntimeWarning,
             stacklevel=2,
         )
-    solution = np.linalg.solve(system, rhs)
-    return solution[:n], float(solution[n])
+    radius = 1.0 / float(inv_h.sum())
+    return radius * (inv_h @ s.vertices), radius
 
 
 def regular_width(n: int, diam: float) -> float:

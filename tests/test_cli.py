@@ -252,8 +252,9 @@ class TestEnclose:
         code, _, err = run_cli(["enclose", str(path), "--n", "3"], capsys)
         assert code == EXIT_PARSE
 
-    def test_single_point(self, tmp_path, capsys):
-        path = write_points(tmp_path, "pt.json", [(1.0, 2.0)])
+    @pytest.mark.parametrize("copies", [1, 2, 5])
+    def test_single_point(self, tmp_path, capsys, copies):
+        path = write_points(tmp_path, "pt.json", [(1.0, 2.0)] * copies)
         code, out, _ = run_cli(["enclose", str(path)], capsys)
         assert code == EXIT_OK
         payload = parse_envelope(out)["payload"]
