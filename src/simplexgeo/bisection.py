@@ -124,17 +124,12 @@ def _edge_error_bound(profile: EdgeProfile, m: int) -> float:
     return m / (m + 1.0) * math.sqrt(radicand)
 
 
-def _evaluate(f: SystemFunction, vertex: np.ndarray, cache: dict) -> np.ndarray:
-    key = vertex.tobytes()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+def _evaluate(f: SystemFunction, vertex: np.ndarray) -> np.ndarray:
     value = np.asarray(f.evaluate(vertex), dtype=float)
     if value.shape != (f.dimension,) or not np.all(np.isfinite(value)):
         raise EvaluationFailure(
             f"{f.name} returned an invalid value at {vertex.tolist()}"
         )
-    cache[key] = value
     return value
 
 
@@ -146,19 +141,16 @@ def _admissible(values: np.ndarray) -> bool:
     return bool((has_low & has_high).all())
 
 
-def _vertex_values(f: SystemFunction, s: Simplex, cache: dict) -> np.ndarray:
-    return np.vstack([_evaluate(f, v, cache) for v in s.vertices])
-
-
-def _record(s: Simplex, depth: int, choice: str | None, m: int, diam0: float) -> BisectionStep:
-    profile = edge_profile(s)
+def _record(
+    s: Simplex, profile: EdgeProfile, depth: int, choice: str | None, diam0: float
+) -> BisectionStep:
     return BisectionStep(
         depth=depth,
         child_choice=choice,
         diam=profile.diam,
         shor=profile.shor,
-        error_estimate=_edge_error_bound(profile, m),
-        kearfott_bound=kearfott_bound(depth, m, diam0),
+        error_estimate=_edge_error_bound(profile, s.m),
+        kearfott_bound=kearfott_bound(depth, s.m, diam0),
         barycenter=barycenter(s),
     )
 
@@ -172,7 +164,9 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     qualify the one with the smaller worst-vertex residual wins, with the
     lower child breaking ties.  Iteration stops once the barycenter error
     bound drops to ``tol``; if neither child qualifies, NoSignCriterion
-    is raised rather than guessing.
+    is raised rather than guessing.  A child is its parent with one vertex
+    moved to the new midpoint, so the vertex values are carried over with
+    one row replaced and each step evaluates f once, by construction.
     """
     if s0.m != s0.n or s0.n != f.dimension:
         raise DimensionMismatch(
@@ -182,17 +176,19 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     check_positive("tol", tol)
     check_int("max_iter", max_iter, 1)
 
-    cache: dict = {}
-    diam0 = edge_profile(s0).diam
-    current = s0
-    _vertex_values(f, current, cache)
-    steps = [_record(current, 0, None, s0.m, diam0)]
+    current, profile = s0, edge_profile(s0)
+    diam0 = profile.diam
+    values = np.vstack([_evaluate(f, v) for v in s0.vertices])
+    steps = [_record(current, profile, 0, None, diam0)]
     converged = steps[-1].error_estimate <= tol
     depth = 0
     while not converged and depth < max_iter:
         lower, upper = bisect(current)
-        lower_values = _vertex_values(f, lower, cache)
-        upper_values = _vertex_values(f, upper, cache)
+        i, j = profile.diam_edge
+        midpoint = _evaluate(f, lower.vertices[i])
+        lower_values, upper_values = values.copy(), values.copy()
+        lower_values[i] = midpoint
+        upper_values[j] = midpoint
         lower_ok = _admissible(lower_values)
         upper_ok = _admissible(upper_values)
         if lower_ok and upper_ok:
@@ -207,12 +203,13 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
             raise NoSignCriterion(
                 f"neither child keeps a sign change for {f.name} at depth {depth}"
             )
-        current = lower if choice == "lower" else upper
+        current, values = (lower, lower_values) if choice == "lower" else (upper, upper_values)
+        profile = edge_profile(current)
         depth += 1
-        steps.append(_record(current, depth, choice, s0.m, diam0))
+        steps.append(_record(current, profile, depth, choice, diam0))
         converged = steps[-1].error_estimate <= tol
     approximation = barycenter(current)
-    residual = float(np.linalg.norm(_evaluate(f, approximation, cache)))
+    residual = float(np.linalg.norm(_evaluate(f, approximation)))
     return BisectionTrace(
         steps=steps,
         final_approximation=approximation,

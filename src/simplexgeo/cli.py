@@ -115,11 +115,6 @@ def _envelope(command: str, digest: str, payload) -> str:
     )
 
 
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _param_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -131,14 +126,14 @@ def _simplex_dict(s: Simplex) -> dict:
 def cmd_analyze(paths) -> int:
     """Full report for each simplex file, in argument order."""
     for path in paths:
-        s = fileio.load_simplex(path)
+        s, digest = fileio.load_simplex(path)
         payload = {
             "simplex": _simplex_dict(s),
             "medians": median_sums(s),
             "enclosure": enclosing.combined_enclosure(s),
             "metrics": metrics.metrics_report(s),
         }
-        print(_envelope("analyze", _file_digest(path), payload))
+        print(_envelope("analyze", digest, payload))
     return EXIT_OK
 
 
@@ -156,7 +151,7 @@ def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float) -> float:
 
 
 def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) -> int:
-    pts = fileio.load_points(path)
+    pts, digest = fileio.load_points(path)
     dim = int(n) if n is not None else pts.shape[1]
     if dim != pts.shape[1]:
         raise DimensionMismatch(
@@ -164,8 +159,11 @@ def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) ->
         )
     extent = np.ptp(pts, axis=0)
     with np.errstate(over="ignore"):  # bounds every squared distance formed below
-        if not math.isfinite(float(np.sum(extent**2))):
-            raise OverflowError("squared point distances overflow the float range")
+        box2 = float(np.sum(extent**2))
+    if not math.isfinite(box2):
+        raise OverflowError("squared point distances overflow the float range")
+    if extent.any() and box2 < np.finfo(float).tiny:
+        raise ArithmeticError("squared point distances underflow the float range")
     center, radius, support = enclosing.exact_meb_support(pts)
     payload = {
         "count": int(pts.shape[0]),
@@ -199,7 +197,7 @@ def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) ->
                 f"exact ball radius {radius!r} exceeds enclosure bound {cap!r}"
             )
         payload["bounds_hold"] = True
-    print(_envelope("enclose", _file_digest(path), payload))
+    print(_envelope("enclose", digest, payload))
     return EXIT_OK
 
 
@@ -209,7 +207,7 @@ def cmd_solve(fn_name: str, path: str, tol: float, max_iter: int, trace_path: st
         known = ", ".join(sorted(bisection.BUILTIN_SYSTEMS))
         print(f"error: unknown function {fn_name!r} (known: {known})", file=sys.stderr)
         return EXIT_UNKNOWN_FUNCTION
-    s0 = fileio.load_simplex(path)
+    s0, digest = fileio.load_simplex(path)
     trace = bisection.solve(system, s0, tol, max_iter)
     payload = {
         "function": fn_name,
@@ -226,7 +224,7 @@ def cmd_solve(fn_name: str, path: str, tol: float, max_iter: int, trace_path: st
         with open(trace_path, "w", encoding="utf-8") as fh:
             for step in trace.steps:
                 fh.write(render_json(step) + "\n")
-    print(_envelope("solve", _file_digest(path), payload))
+    print(_envelope("solve", digest, payload))
     if not trace.converged:
         print(
             f"error: not converged after {max_iter} iterations "

@@ -156,8 +156,11 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     """Exact minimum enclosing ball plus the boundary support indices."""
     pts = _coerce_points(points)
     count, n = pts.shape
-    if n > MEB_MAX_DIM:
-        raise CapExceeded(f"exact ball supports dimension <= {MEB_MAX_DIM}, got {n}")
+    # The walk stays in the affine hull of its support, so the cap counts
+    # the dimension that hull can reach, not the ambient one.
+    dim = min(n, count - 1)
+    if dim > MEB_MAX_DIM:
+        raise CapExceeded(f"exact ball supports dimension <= {MEB_MAX_DIM}, got {dim}")
     if count > MEB_MAX_POINTS:
         raise CapExceeded(
             f"exact ball supports <= {MEB_MAX_POINTS} points, got {count}"
@@ -177,20 +180,13 @@ def exact_meb(points) -> tuple[np.ndarray, float]:
 def combined_enclosure(s: Simplex) -> EnclosureReport:
     """Compare the exact ball against the barycentric and Jung bounds.
 
-    The exact ball is centered in the affine hull, so the search runs in
-    orthonormal hull coordinates (from a QR factorization of the edge
-    vectors at vertex 0) and its dimension cap applies to m, not n.  The
-    center is mapped back and the radius recomputed in ambient
-    coordinates.  Jung's bound is applied with m for the same reason.
+    Jung's bound is applied with m, since the simplex spans an m-flat.
     """
     profile = edge_profile(s)
     radius_bc, argmax = barycentric_circumradius(s)
     jung = jung_bound(profile.diam, s.m)
     combined = min(radius_bc, jung)
-    basis, _ = np.linalg.qr((s.vertices[1:] - s.vertices[0]).T)
-    local, _ = exact_meb((s.vertices - s.vertices[0]) @ basis)
-    center = s.vertices[0] + basis @ local
-    radius = float(np.linalg.norm(s.vertices - center, axis=1).max())
+    center, radius = exact_meb(s.vertices)
     if radius > combined + 1e-12 * profile.diam:
         raise ArithmeticError(
             f"exact ball radius {radius!r} exceeds enclosure bound {combined!r}"

@@ -8,6 +8,7 @@ rejected at parse time.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -58,17 +59,22 @@ def parse_points_json(text: str) -> np.ndarray:
     return _coordinate_rows(text, "points")
 
 
-def _read_text(path) -> str:
+def _read_text(path) -> tuple[str, str]:
+    """The UTF-8 text of a file and the SHA-256 hex digest of its bytes."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not UTF-8 text: {exc}") from exc
+    return text, hashlib.sha256(raw).hexdigest()
 
 
-def load_simplex(path) -> Simplex:
-    return parse_simplex_json(_read_text(path))
+def load_simplex(path) -> tuple[Simplex, str]:
+    text, digest = _read_text(path)
+    return parse_simplex_json(text), digest
 
 
-def load_points(path) -> np.ndarray:
-    return parse_points_json(_read_text(path))
+def load_points(path) -> tuple[np.ndarray, str]:
+    text, digest = _read_text(path)
+    return parse_points_json(text), digest

@@ -248,7 +248,7 @@ def eggleston_suite(s: Simplex) -> list:
     profile = edge_profile(s)
     diam = profile.diam
     _, inradius = exact_inradius_fulldim(s)
-    _, circumradius = exact_meb(list(s.vertices))
+    _, circumradius = exact_meb(s.vertices)
     rows = [
         ("inradius_le_circumradius", inradius, circumradius),
         ("diameter_le_two_circumradius", diam, 2.0 * circumradius),

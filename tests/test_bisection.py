@@ -184,18 +184,26 @@ class TestSolve:
             assert step.error_estimate <= containment_bound(k, 2, diam0) + 1e-12
         assert trace.final_error_estimate == trace.steps[-1].error_estimate
 
-    def test_one_new_evaluation_per_step(self):
+    @pytest.mark.parametrize(
+        "vertices, root",
+        [([[0.0], [1.0]], 0.7), ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)],
+        ids=["segment", "corner"],
+    )
+    def test_one_new_evaluation_per_step(self, vertices, root):
         calls = []
 
         def counted(x):
             calls.append(np.array(x))
-            return x - 0.7
+            return x - root
 
-        system = SystemFunction(dimension=1, evaluate=counted, name="counted")
-        trace = solve(system, validate_simplex([[0.0], [1.0]]), 1e-6, 100)
-        iterations = trace.steps[-1].depth
+        s0 = validate_simplex(vertices)
+        m = s0.m
+        system = SystemFunction(dimension=m, evaluate=counted, name="counted")
+        trace = solve(system, s0, 1e-6, 100)
+        depth = trace.steps[-1].depth
+        assert trace.converged
         # Initial vertices, one midpoint per bisection, final barycenter.
-        assert len(calls) == 2 + iterations + 1
+        assert len(calls) == (m + 1) + depth + 1
 
     def test_max_iter_exhaustion(self):
         trace = solve(BUILTIN_SYSTEMS["linear-0.7"], validate_simplex([[0.0], [1.0]]), 1e-9, 5)

@@ -5,6 +5,7 @@ couple shell out to a real interpreter to confirm byte determinism
 across processes.
 """
 
+import builtins
 import hashlib
 import json
 import math
@@ -156,6 +157,22 @@ class TestAnalyze:
         assert enclosure["meb_radius"] == pytest.approx(brute_force_meb(vertices), rel=1e-9)
         if m == 1:
             assert center == pytest.approx(vertices.mean(axis=0), abs=1e-12 * scale)
+
+    def test_simplex_dimension_above_ball_cap(self, tmp_path, capsys):
+        vertices = np.vstack([np.zeros(11), np.eye(11)])
+        path = write_simplex(tmp_path, "m11.json", vertices)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_CAP
+        assert_clean_error(out, err)
+
+    def test_crlf_input(self, tmp_path, capsys):
+        raw = b'{"vertices": [[0, 0],\r\n[1, 0],\r\n[0, 1]]}\r\n'
+        path = tmp_path / "crlf.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        assert parse_envelope(out)["input_digest"] == hashlib.sha256(raw).hexdigest()
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["analyze", "/nonexistent/x.json"], capsys)
@@ -564,6 +581,54 @@ class TestNumericalFailure:
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_enclose_underflow(self, tmp_path, capsys, scale):
+        path = write_points(tmp_path, "tiny.json", [(0, 0), (3 * scale, 0), (0, 4 * scale)])
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err.count("\n") == 1
+        assert "underflow" in err
+
+    def test_enclose_small_but_representable(self, tmp_path, capsys):
+        path = write_points(tmp_path, "small.json", [(0, 0), (3e-150, 0), (0, 4e-150)])
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        payload = parse_envelope(out)["payload"]
+        assert payload["diam"] == pytest.approx(5e-150, rel=1e-12)
+        assert payload["meb"]["radius"] == pytest.approx(2.5e-150, rel=1e-12)
+
+
+class TestSingleRead:
+    """Each file command opens its input once, for both parse and digest."""
+
+    @pytest.mark.parametrize(
+        "argv, write",
+        [
+            (["analyze"], lambda p: write_simplex(p, "tri.json", [(0, 0), (1, 0), (0, 1)])),
+            (["enclose"], lambda p: write_points(p, "sq.json", UNIT_SQUARE)),
+            (["solve", "linear-0.7"], lambda p: write_simplex(p, "seg.json", [(0.0,), (1.0,)])),
+        ],
+        ids=["analyze", "enclose", "solve"],
+    )
+    def test_input_opened_once(self, tmp_path, capsys, monkeypatch, argv, write):
+        path = write(tmp_path)
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, out, _ = run_cli([*argv, str(path)], capsys)
+        assert code == EXIT_OK
+        assert len(opened) == 1
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert parse_envelope(out)["input_digest"] == digest
 
 
 class TestSchema:

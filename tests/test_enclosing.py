@@ -127,6 +127,12 @@ class TestExactMeb:
             _, radius = exact_meb(pts)
             assert radius == pytest.approx(brute_force_meb(pts), rel=1e-9, abs=1e-12)
 
+    def test_few_points_in_high_ambient_dimension(self):
+        # Three points span a plane, so the dimension cap does not apply.
+        pts = np.random.default_rng(1111).uniform(-3, 3, size=(3, 11))
+        _, radius = exact_meb(pts)
+        assert radius == pytest.approx(brute_force_meb(pts), rel=1e-9)
+
     def test_containment_and_support_certificate(self):
         rng = np.random.default_rng(888)
         for _ in range(20):
@@ -165,7 +171,7 @@ class TestExactMeb:
         with pytest.raises(EmptyInput):
             exact_meb([])
         with pytest.raises(CapExceeded):
-            exact_meb(np.zeros((3, 11)))
+            exact_meb(np.zeros((12, 11)))
         with pytest.raises(CapExceeded):
             exact_meb(np.random.default_rng(0).uniform(size=(10001, 2)))
 
