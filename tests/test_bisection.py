@@ -184,12 +184,8 @@ class TestSolve:
             assert step.error_estimate <= containment_bound(k, 2, diam0) + 1e-12
         assert trace.final_error_estimate == trace.steps[-1].error_estimate
 
-    @pytest.mark.parametrize(
-        "vertices, root",
-        [([[0.0], [1.0]], 0.7), ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)],
-        ids=["segment", "corner"],
-    )
-    def test_one_new_evaluation_per_step(self, vertices, root):
+    @staticmethod
+    def _count_evaluations(vertices, root):
         calls = []
 
         def counted(x):
@@ -204,6 +200,12 @@ class TestSolve:
         assert trace.converged
         # Initial vertices, one midpoint per bisection, final barycenter.
         assert len(calls) == (m + 1) + depth + 1
+
+    def test_one_new_evaluation_per_step(self):
+        self._count_evaluations([[0.0], [1.0]], 0.7)
+
+    def test_one_new_evaluation_per_step_corner(self):
+        self._count_evaluations([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)
 
     def test_max_iter_exhaustion(self):
         trace = solve(BUILTIN_SYSTEMS["linear-0.7"], validate_simplex([[0.0], [1.0]]), 1e-9, 5)
