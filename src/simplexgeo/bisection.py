@@ -76,17 +76,24 @@ def bisect(s: Simplex) -> tuple[Simplex, Simplex]:
     every other vertex keeps its position, so the two children share
     the splitting facet and partition the parent.
     """
-    profile = edge_profile(s)
-    i, j = profile.diam_edge
-    midpoint = 0.5 * (s.vertices[i] + s.vertices[j])
-    lower = np.array(s.vertices)
-    lower[i] = midpoint
-    upper = np.array(s.vertices)
-    upper[j] = midpoint
+    lower, upper = _split(s.vertices, edge_profile(s).diam_edge)
     # Children of a valid simplex stay affinely independent (one row of
     # the difference matrix is halved), so the ingestion rank gate is not
     # re-run; it would reject very small but perfectly shaped children.
     return Simplex(lower), Simplex(upper)
+
+
+def _split(rows: np.ndarray, edge: tuple, new_row=None) -> tuple[np.ndarray, np.ndarray]:
+    """Split rule for vertices and carried values: with edge (i, j) the lower
+    child replaces row i and the upper row j by ``new_row`` (default: the
+    midpoint of rows i and j)."""
+    i, j = edge
+    if new_row is None:
+        new_row = 0.5 * (rows[i] + rows[j])
+    lower, upper = np.array(rows), np.array(rows)
+    lower[i] = new_row
+    upper[j] = new_row
+    return lower, upper
 
 
 def kearfott_bound(p: int, m: int, diam0: float) -> float:
@@ -164,9 +171,9 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     qualify the one with the smaller worst-vertex residual wins, with the
     lower child breaking ties.  Iteration stops once the barycenter error
     bound drops to ``tol``; if neither child qualifies, NoSignCriterion
-    is raised rather than guessing.  A child is its parent with one vertex
-    moved to the new midpoint, so the vertex values are carried over with
-    one row replaced and each step evaluates f once, by construction.
+    is raised rather than guessing.  The split is ``bisect``'s rule applied
+    to the profile already held, and the vertex values are carried through
+    the same rule, so each step profiles one simplex and evaluates f once.
     """
     if s0.m != s0.n or s0.n != f.dimension:
         raise DimensionMismatch(
@@ -183,27 +190,18 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     converged = steps[-1].error_estimate <= tol
     depth = 0
     while not converged and depth < max_iter:
-        lower, upper = bisect(current)
-        i, j = profile.diam_edge
-        midpoint = _evaluate(f, lower.vertices[i])
-        lower_values, upper_values = values.copy(), values.copy()
-        lower_values[i] = midpoint
-        upper_values[j] = midpoint
-        lower_ok = _admissible(lower_values)
-        upper_ok = _admissible(upper_values)
-        if lower_ok and upper_ok:
-            lower_res = float(np.abs(lower_values).max())
-            upper_res = float(np.abs(upper_values).max())
-            choice = "lower" if lower_res <= upper_res else "upper"
-        elif lower_ok:
-            choice = "lower"
-        elif upper_ok:
-            choice = "upper"
-        else:
+        edge = profile.diam_edge
+        lower, upper = _split(current.vertices, edge)
+        lower_values, upper_values = _split(values, edge, _evaluate(f, lower[edge[0]]))
+        children = (("lower", lower, lower_values), ("upper", upper, upper_values))
+        candidates = [child for child in children if _admissible(child[2])]
+        if not candidates:
             raise NoSignCriterion(
                 f"neither child keeps a sign change for {f.name} at depth {depth}"
             )
-        current, values = (lower, lower_values) if choice == "lower" else (upper, upper_values)
+        # min keeps the first of equal residuals: the lower child wins ties.
+        choice, rows, values = min(candidates, key=lambda c: np.abs(c[2]).max())
+        current = Simplex(rows)
         profile = edge_profile(current)
         depth += 1
         steps.append(_record(current, profile, depth, choice, diam0))

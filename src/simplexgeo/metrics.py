@@ -22,6 +22,7 @@ from .apollonius import radicands
 from .core import (
     REGULAR_RTOL,
     Simplex,
+    as_point,
     barycenter,
     check_int,
     check_positive,
@@ -115,9 +116,9 @@ def _distance_to_hull(p: np.ndarray, verts: np.ndarray) -> float:
 
 
 def distance_point_to_face(p, face: Simplex) -> float:
-    """Exact Euclidean distance from a point to a face simplex."""
-    point = np.asarray(p, dtype=float)
-    if point.ndim != 1 or point.size != face.n:
+    """Exact Euclidean distance from a finite point to a face simplex."""
+    point = as_point(p)
+    if point.size != face.n:
         raise DimensionMismatch(
             f"point dimension {point.size} does not match face dimension {face.n}"
         )

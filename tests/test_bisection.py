@@ -17,6 +17,7 @@ from simplexgeo import (
     validate_simplex,
     volume,
 )
+from simplexgeo import bisection
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     DimensionMismatch,
@@ -206,6 +207,47 @@ class TestSolve:
 
     def test_one_new_evaluation_per_step_corner(self):
         self._count_evaluations([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)
+
+    @pytest.mark.parametrize(
+        "vertices, root",
+        [([[0.0], [1.0]], 0.7), ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)],
+        ids=["segment", "corner"],
+    )
+    def test_one_profile_per_accepted_simplex(self, monkeypatch, vertices, root):
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return edge_profile(s)
+
+        monkeypatch.setattr(bisection, "edge_profile", counted)
+        s0 = validate_simplex(vertices)
+        system = SystemFunction(dimension=s0.m, evaluate=lambda x: x - root, name="shifted")
+        trace = solve(system, s0, 1e-6, 100)
+        assert trace.converged
+        # The start simplex and each accepted child, never a rejected one.
+        assert len(calls) == trace.steps[-1].depth + 1
+
+    @pytest.mark.parametrize(
+        "name", ["linear-0.7", "cubic-1d", "shifted-identity-2d", "circle-line-2d"]
+    )
+    def test_replays_through_bisect(self, name):
+        # solve and bisect share one split rule, so following the recorded
+        # choices with the public bisect reproduces every step exactly.
+        system = BUILTIN_SYSTEMS[name]
+        if system.dimension == 1:
+            s = validate_simplex([[0.0], [1.0]])
+        else:
+            s = validate_simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+        trace = solve(system, s, 1e-8, 200)
+        assert trace.converged
+        for step in trace.steps[1:]:
+            lower, upper = bisect(s)
+            s = lower if step.child_choice == "lower" else upper
+            profile = edge_profile(s)
+            assert np.array_equal(barycenter(s), step.barycenter)
+            assert profile.diam == step.diam
+            assert profile.shor == step.shor
 
     def test_max_iter_exhaustion(self):
         trace = solve(BUILTIN_SYSTEMS["linear-0.7"], validate_simplex([[0.0], [1.0]]), 1e-9, 5)

@@ -278,6 +278,18 @@ class TestEnclose:
         assert payload["meb"]["radius"] == 0.0
         assert "diam" not in payload
 
+    @pytest.mark.parametrize(
+        "copies, expected", [(2, EXIT_PARSE), (5, EXIT_DEGENERATE)], ids=["two", "five"]
+    )
+    def test_variant_jung_coincident_points(self, tmp_path, capsys, copies, expected):
+        # The point count is checked before the rank: fewer than n+1 points
+        # is an argument error, enough points with no full-rank subset is
+        # degenerate.
+        path = write_points(tmp_path, "pt.json", [(1.0, 1.0)] * copies)
+        code, out, err = run_cli(["enclose", str(path), "--variant-jung"], capsys)
+        assert code == expected
+        assert_clean_error(out, err)
+
     def test_directory_input(self, tmp_path, capsys):
         code, out, err = run_cli(["enclose", str(tmp_path)], capsys)
         assert code == EXIT_PARSE

@@ -26,7 +26,12 @@ from simplexgeo import (
     validate_simplex,
 )
 from simplexgeo.corpus import random_simplex
-from simplexgeo.errors import DimensionMismatch, InvalidDimension, NotFullDimensional
+from simplexgeo.errors import (
+    DimensionMismatch,
+    InvalidDimension,
+    InvalidPoint,
+    NotFullDimensional,
+)
 from simplexgeo.metrics import _hull_weights
 
 from conftest import random_rigid_motion
@@ -80,6 +85,14 @@ class TestDistancePointToFace:
     def test_dimension_guard(self):
         with pytest.raises(DimensionMismatch):
             distance_point_to_face((0, 0, 0), validate_simplex([(0, 0), (1, 0)]))
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (math.inf, 0.0)], ids=["nan", "inf"])
+    def test_non_finite_point(self, point, capfd):
+        # Rejected before the solver, so LAPACK never sees it and prints nothing.
+        face = validate_simplex([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(InvalidPoint):
+            distance_point_to_face(point, face)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestBarycentricInradius:
