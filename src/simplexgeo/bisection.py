@@ -17,12 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import EdgeProfile, Simplex, barycenter, check_int, check_positive, edge_profile
-from .errors import (
-    DimensionMismatch,
-    EvaluationFailure,
-    NegativeRadicand,
-    NoSignCriterion,
-)
+from .errors import DimensionMismatch, EvaluationFailure, NoSignCriterion
 
 # Fraction of the vertex-value magnitude below which a component counts
 # as both signs in the admissibility test.
@@ -123,11 +118,8 @@ def error_estimate(s: Simplex) -> float:
 
 
 def _edge_error_bound(profile: EdgeProfile, m: int) -> float:
+    # shor <= diam, so the radicand is nonnegative.
     radicand = profile.diam**2 - (m - 1.0) / (2.0 * m) * profile.shor**2
-    if radicand < 0.0:
-        raise NegativeRadicand(
-            f"edge data inconsistent: diam {profile.diam!r}, shor {profile.shor!r}"
-        )
     return m / (m + 1.0) * math.sqrt(radicand)
 
 

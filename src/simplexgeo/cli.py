@@ -12,8 +12,9 @@ through one first-match table: 0 success, 1 numerical failure (overflow,
 a failed self-check, a singular system), 2 parse or argument error,
 3 degenerate input, 4 enumeration cap exceeded, 5 iteration budget
 exhausted, 6 no child satisfied the sign criterion, 7 unknown system
-function.  A failure found in the table prints one ``error:`` line on
-stderr instead of a traceback.
+function.  Every failure prints from that table: one ``error:`` line on
+stderr instead of a traceback.  Code 5 alone is returned, not raised,
+because its envelope still prints.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .errors import (
     ParseError,
     SimplexError,
     TooFewPoints,
+    UnknownFunction,
 )
 
 SCHEMA_VERSION = 1
@@ -65,6 +67,7 @@ _EXIT_CODES = (
     ((Degenerate, AllDegenerate, NegativeRadicand), EXIT_DEGENERATE),
     (CapExceeded, EXIT_CAP),
     (NoSignCriterion, EXIT_NO_SIGN),
+    (UnknownFunction, EXIT_UNKNOWN_FUNCTION),
     ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError), EXIT_FAILURE),
 )
 
@@ -100,8 +103,12 @@ def render_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(render_json(x) for x in obj) + "]"
     if dataclasses.is_dataclass(obj):
-        return render_json({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        return render_json(_fields(obj))
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _envelope(command: str, digest: str, payload) -> str:
@@ -123,9 +130,9 @@ def _simplex_dict(s: Simplex) -> dict:
     return {"m": s.m, "n": s.n, "vertices": s.vertices}
 
 
-def cmd_analyze(paths) -> int:
+def cmd_analyze(args) -> int:
     """Full report for each simplex file, in argument order."""
-    for path in paths:
+    for path in args.paths:
         s, digest = fileio.load_simplex(path)
         payload = {
             "simplex": _simplex_dict(s),
@@ -150,85 +157,62 @@ def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float) -> float:
     return math.sqrt(best)
 
 
-def cmd_enclose(path: str, n: int | None, variant_jung: bool, bw_check: bool) -> int:
-    pts, digest = fileio.load_points(path)
-    dim = int(n) if n is not None else pts.shape[1]
+def cmd_enclose(args) -> int:
+    pts, digest = fileio.load_points(args.path)
+    dim = pts.shape[1] if args.n is None else args.n
     if dim != pts.shape[1]:
         raise DimensionMismatch(
             f"points live in R^{pts.shape[1]} but --n {dim} was given"
         )
-    extent = np.ptp(pts, axis=0)
-    with np.errstate(over="ignore"):  # bounds every squared distance formed below
-        box2 = float(np.sum(extent**2))
-    if not math.isfinite(box2):
-        raise OverflowError("squared point distances overflow the float range")
-    if extent.any() and box2 < np.finfo(float).tiny:
-        raise ArithmeticError("squared point distances underflow the float range")
     center, radius, support = enclosing.exact_meb_support(pts)
     payload = {
         "count": int(pts.shape[0]),
         "n": dim,
-        "meb": {
-            "center": center,
-            "radius": radius,
-            "support": sorted(int(i) for i in support),
-        },
+        "meb": {"center": center, "radius": radius, "support": list(support)},
     }
-    if extent.any():
+    bounds = []
+    if radius > 0.0:  # the points are not all equal, so they have a diameter
         diam = _set_diameter(pts, center, radius)
-        jung = enclosing.jung_bound(diam, dim)
-        bounds = [jung]
+        bounds.append(enclosing.jung_bound(diam, dim))
         payload["diam"] = diam
-        payload["jung_bound"] = jung
-    else:
-        bounds = []
-    if variant_jung:
+        payload["jung_bound"] = bounds[0]
+    if args.variant_jung:
         value = enclosing.set_barycentric_circumradius(pts, dim)
         payload["set_barycentric_circumradius"] = value
         bounds.append(value)
-    if bw_check:
+    if args.bw_check:
         subset_max, full = enclosing.blumenthal_wahlin_check(pts, dim)
         payload["blumenthal_wahlin"] = {"subset_max": subset_max, "full": full}
-    if bounds:
-        cap = min(bounds)
-        slack = 1e-12 * max(1.0, radius)
-        if radius > cap + slack:
-            raise ArithmeticError(
-                f"exact ball radius {radius!r} exceeds enclosure bound {cap!r}"
-            )
+    if radius > 0.0:  # radius 0 leaves no bound: --variant-jung raises on equal points
+        enclosing.check_enclosure_bound(radius, min(bounds), diam)
         payload["bounds_hold"] = True
     print(_envelope("enclose", digest, payload))
     return EXIT_OK
 
 
-def cmd_solve(fn_name: str, path: str, tol: float, max_iter: int, trace_path: str | None) -> int:
-    system = bisection.BUILTIN_SYSTEMS.get(fn_name)
+def cmd_solve(args) -> int:
+    system = bisection.BUILTIN_SYSTEMS.get(args.function)
     if system is None:
         known = ", ".join(sorted(bisection.BUILTIN_SYSTEMS))
-        print(f"error: unknown function {fn_name!r} (known: {known})", file=sys.stderr)
-        return EXIT_UNKNOWN_FUNCTION
-    s0, digest = fileio.load_simplex(path)
-    trace = bisection.solve(system, s0, tol, max_iter)
+        raise UnknownFunction(f"unknown function {args.function!r} (known: {known})")
+    s0, digest = fileio.load_simplex(args.path)
+    trace = bisection.solve(system, s0, args.tol, args.max_iter)
     payload = {
-        "function": fn_name,
-        "tol": tol,
-        "max_iter": int(max_iter),
-        "converged": trace.converged,
+        "function": args.function,
+        "tol": args.tol,
+        "max_iter": args.max_iter,
         "iterations": trace.steps[-1].depth,
-        "final_approximation": trace.final_approximation,
-        "final_error_estimate": trace.final_error_estimate,
-        "residual_norm": trace.residual_norm,
-        "steps": trace.steps,
+        **_fields(trace),
     }
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
             for step in trace.steps:
                 fh.write(render_json(step) + "\n")
     print(_envelope("solve", digest, payload))
     if not trace.converged:
         print(
-            f"error: not converged after {max_iter} iterations "
-            f"(error estimate {trace.final_error_estimate:.6e} > tol {tol:.6e})",
+            f"error: not converged after {args.max_iter} iterations "
+            f"(error estimate {trace.final_error_estimate:.6e} > tol {args.tol:.6e})",
             file=sys.stderr,
         )
         return EXIT_MAX_ITER
@@ -239,7 +223,8 @@ def _compare(closed_form: float, computed: float) -> dict:
     return {"closed_form": closed_form, "computed": computed}
 
 
-def cmd_regular(m: int, n: int, diam: float) -> int:
+def cmd_regular(args) -> int:
+    m, n, diam = args.m, args.n, args.diam
     s = regular_simplex(m, n, diam)
     circum_computed, _ = enclosing.barycentric_circumradius(s)
     inradius_computed, _ = metrics.barycentric_inradius(s)
@@ -272,7 +257,14 @@ def cmd_regular(m: int, n: int, diam: float) -> int:
     return EXIT_OK
 
 
-def cmd_corpus(seed: int, count: int, m: int | None, n: int | None, coord_range: float) -> int:
+def cmd_corpus(args) -> int:
+    seed, count, m, n, coord_range = args.seed, args.count, args.m, args.n, args.coord_range
+    env_seed = os.environ.get("SIMPLEX_SEED")
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError as exc:
+            raise ParseError(f"SIMPLEX_SEED must be an integer, got {env_seed!r}") from exc
     simplices = corpus.generate(seed, count, m=m, n=n, coord_range=coord_range)
     payload = {
         "seed": int(seed),
@@ -298,9 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="full report for simplex files")
+    p_analyze.set_defaults(run=cmd_analyze)
     p_analyze.add_argument("paths", nargs="+", metavar="SIMPLEX_JSON")
 
     p_enclose = sub.add_parser("enclose", help="enclosing-ball bounds for a point set")
+    p_enclose.set_defaults(run=cmd_enclose)
     p_enclose.add_argument("path", metavar="POINTS_JSON")
     p_enclose.add_argument("--n", type=int, default=None, help="ambient dimension")
     p_enclose.add_argument(
@@ -315,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_solve = sub.add_parser("solve", help="sign-based bisection root search")
+    p_solve.set_defaults(run=cmd_solve)
     p_solve.add_argument("function", metavar="FUNCTION")
     p_solve.add_argument("path", metavar="SIMPLEX_JSON")
     p_solve.add_argument("--tol", type=float, default=1e-6)
@@ -323,11 +318,13 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="write one JSON step record per line to PATH")
 
     p_regular = sub.add_parser("regular", help="regular simplex with closed-form checks")
+    p_regular.set_defaults(run=cmd_regular)
     p_regular.add_argument("--m", type=int, required=True)
     p_regular.add_argument("--n", type=int, required=True)
     p_regular.add_argument("--diam", type=float, default=1.0)
 
     p_corpus = sub.add_parser("corpus", help="seeded random simplex corpus")
+    p_corpus.set_defaults(run=cmd_corpus)
     p_corpus.add_argument("--seed", type=int, default=0)
     p_corpus.add_argument("--count", type=int, default=10)
     p_corpus.add_argument("--m", type=int, default=None)
@@ -344,24 +341,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad arguments, which matches the parse code.
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args.paths)
-        if args.command == "enclose":
-            return cmd_enclose(args.path, args.n, args.variant_jung, args.bw_check)
-        if args.command == "solve":
-            return cmd_solve(args.function, args.path, args.tol, args.max_iter, args.trace)
-        if args.command == "regular":
-            return cmd_regular(args.m, args.n, args.diam)
-        if args.command == "corpus":
-            seed = args.seed
-            env_seed = os.environ.get("SIMPLEX_SEED")
-            if env_seed is not None:
-                try:
-                    seed = int(env_seed)
-                except ValueError as exc:
-                    raise ParseError(f"SIMPLEX_SEED must be an integer, got {env_seed!r}") from exc
-            return cmd_corpus(seed, args.count, args.m, args.n, args.coord_range)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except Exception as exc:
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):

@@ -62,10 +62,6 @@ class Simplex:
     def n(self) -> int:
         return self.vertices.shape[1]
 
-    def vertex(self, i: int) -> np.ndarray:
-        check_index(self, i)
-        return self.vertices[i]
-
 
 @dataclass(frozen=True, eq=False)
 class EdgeProfile:
@@ -107,6 +103,7 @@ def validate_simplex(vertices) -> Simplex:
     Raises TooFewPoints for fewer than two vertices, DimensionMismatch for
     mixed coordinate dimensions, and Degenerate when the smallest singular
     value of the difference matrix falls below the rank tolerance.
+    Raises OverflowError when a vertex difference overflows the float range.
     """
     pts = [as_point(v) for v in vertices]
     if len(pts) < 2:
@@ -119,7 +116,9 @@ def validate_simplex(vertices) -> Simplex:
             )
     arr = np.vstack(pts)
     m = len(pts) - 1
-    diffs = arr[1:] - arr[0]
+    with np.errstate(over="ignore"):  # the extent bounds every difference; checked below
+        diffs = arr[1:] - arr[0]
+        extent = np.ptp(arr, axis=0)
     if n < m:
         raise Degenerate(
             f"{m + 1} points in R^{n} cannot be affinely independent"
@@ -130,6 +129,8 @@ def validate_simplex(vertices) -> Simplex:
             "vertices are affinely dependent within tolerance "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
         )
+    if not np.isfinite(extent).all():
+        raise OverflowError("squared edge lengths overflow the float range")
     return Simplex(arr)
 
 
@@ -214,12 +215,12 @@ def edge_spread(profile: EdgeProfile) -> float:
     return (profile.diam - profile.shor) / profile.diam
 
 
-def require_regular(s: Simplex, rtol: float = REGULAR_RTOL) -> EdgeProfile:
+def require_regular(s: Simplex) -> EdgeProfile:
     """Return the edge profile, raising NotRegular on unequal edges."""
     profile = edge_profile(s)
-    if edge_spread(profile) > rtol:
+    if edge_spread(profile) > REGULAR_RTOL:
         raise NotRegular(
-            f"edge spread {edge_spread(profile):.3e} exceeds {rtol:.1e}"
+            f"edge spread {edge_spread(profile):.3e} exceeds {REGULAR_RTOL:.1e}"
         )
     return profile
 

@@ -7,6 +7,11 @@ import numpy as np
 from .core import Simplex, check_int, check_positive, validate_simplex
 from .errors import Degenerate, InvalidDimension
 
+# Ranges of the draws for an m or n that is not given: 1 <= m <= M_MAX,
+# m <= n <= N_MAX.
+M_MAX = 8
+N_MAX = 12
+
 
 def random_simplex(rng: np.random.Generator, m: int, n: int, coord_range: float = 10.0) -> Simplex:
     """Uniformly sampled valid m-simplex in R^n with coordinates in [-r, r].
@@ -31,22 +36,19 @@ def generate(
     count: int,
     m: int | None = None,
     n: int | None = None,
-    m_max: int = 8,
-    n_max: int = 12,
     coord_range: float = 10.0,
 ) -> list:
     """Deterministic list of random simplices for a given seed.
 
-    When m or n is None each draw picks its own value, with 1 <= m <= m_max
-    and m <= n <= n_max.
+    When m or n is None each draw picks its own value in the ranges above.
     """
     check_int("count", count, 0)
-    if n is None and m is not None and m > n_max:
-        raise InvalidDimension(f"m = {m} exceeds n_max = {n_max}, the largest drawn n; give n too")
+    if n is None and m is not None and m > N_MAX:
+        raise InvalidDimension(f"m = {m} exceeds n_max = {N_MAX}, the largest drawn n; give n too")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        mi = int(m) if m is not None else int(rng.integers(1, m_max + 1))
-        ni = int(n) if n is not None else int(rng.integers(mi, n_max + 1))
+        mi = int(m) if m is not None else int(rng.integers(1, M_MAX + 1))
+        ni = int(n) if n is not None else int(rng.integers(mi, N_MAX + 1))
         out.append(random_simplex(rng, mi, ni, coord_range))
     return out

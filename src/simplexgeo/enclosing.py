@@ -153,8 +153,19 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
 
 
 def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
-    """Exact minimum enclosing ball plus the boundary support indices."""
+    """Exact minimum enclosing ball plus the boundary support indices.
+
+    Raises OverflowError when squared point distances overflow the float
+    range, and ArithmeticError when those of distinct points underflow it.
+    """
     pts = _coerce_points(points)
+    with np.errstate(over="ignore"):  # bounds every squared distance formed below
+        extent = np.ptp(pts, axis=0)
+        box2 = float(np.sum(extent**2))
+    if not math.isfinite(box2):
+        raise OverflowError("squared point distances overflow the float range")
+    if extent.any() and box2 < np.finfo(float).tiny:
+        raise ArithmeticError("squared point distances underflow the float range")
     count, n = pts.shape
     # The walk stays in the affine hull of its support, so the cap counts
     # the dimension that hull can reach, not the ambient one.
@@ -177,6 +188,15 @@ def exact_meb(points) -> tuple[np.ndarray, float]:
     return center, radius
 
 
+def check_enclosure_bound(radius: float, bound: float, diam: float) -> None:
+    """Raise ArithmeticError when an exact ball radius exceeds an upper bound
+    on it by more than 1e-12 * diam, diam the diameter of the enclosed set."""
+    if radius > bound + 1e-12 * diam:
+        raise ArithmeticError(
+            f"exact ball radius {radius!r} exceeds enclosure bound {bound!r}"
+        )
+
+
 def combined_enclosure(s: Simplex) -> EnclosureReport:
     """Compare the exact ball against the barycentric and Jung bounds.
 
@@ -187,10 +207,7 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
     jung = jung_bound(profile.diam, s.m)
     combined = min(radius_bc, jung)
     center, radius = exact_meb(s.vertices)
-    if radius > combined + 1e-12 * profile.diam:
-        raise ArithmeticError(
-            f"exact ball radius {radius!r} exceeds enclosure bound {combined!r}"
-        )
+    check_enclosure_bound(radius, combined, profile.diam)
     return EnclosureReport(
         barycentric_circumradius=radius_bc,
         jung_bound=jung,

@@ -63,3 +63,7 @@ class NoSignCriterion(SimplexError):
 
 class ParseError(SimplexError):
     """An input file does not conform to the expected JSON schema."""
+
+
+class UnknownFunction(SimplexError):
+    """A named system function is not among the built-in ones."""

@@ -27,6 +27,8 @@ def _coordinate_rows(text: str, key: str) -> np.ndarray:
         doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError("JSON nests too deeply to parse") from exc
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f'top-level object must contain the key "{key}"')
     rows = doc[key]

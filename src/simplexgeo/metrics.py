@@ -110,11 +110,6 @@ def _hull_weights(p: np.ndarray, verts: np.ndarray) -> np.ndarray:
     raise ArithmeticError(f"nearest-point search on {k} vertices did not converge")
 
 
-def _distance_to_hull(p: np.ndarray, verts: np.ndarray) -> float:
-    """Distance from p to the convex hull of the given vertex rows."""
-    return float(np.linalg.norm(_hull_weights(p, verts) @ verts - p))
-
-
 def distance_point_to_face(p, face: Simplex) -> float:
     """Exact Euclidean distance from a finite point to a face simplex."""
     point = as_point(p)
@@ -122,7 +117,7 @@ def distance_point_to_face(p, face: Simplex) -> float:
         raise DimensionMismatch(
             f"point dimension {point.size} does not match face dimension {face.n}"
         )
-    return _distance_to_hull(point, face.vertices)
+    return float(np.linalg.norm(_hull_weights(point, face.vertices) @ face.vertices - point))
 
 
 def _inverse_altitudes(s: Simplex) -> tuple[np.ndarray, float]:

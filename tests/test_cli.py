@@ -405,9 +405,11 @@ class TestSolve:
 
     def test_unknown_function(self, tmp_path, capsys):
         path = write_simplex(tmp_path, "seg.json", [(0.0,), (1.0,)])
-        code, _, err = run_cli(["solve", "mystery", str(path)], capsys)
+        code, out, err = run_cli(["solve", "mystery", str(path)], capsys)
         assert code == EXIT_UNKNOWN_FUNCTION
         assert "linear-0.7" in err
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_max_iter_exhaustion_still_reports(self, tmp_path, capsys):
         path = write_simplex(tmp_path, "seg.json", [(0.0,), (1.0,)])
@@ -611,6 +613,61 @@ class TestNumericalFailure:
         payload = parse_envelope(out)["payload"]
         assert payload["diam"] == pytest.approx(5e-150, rel=1e-12)
         assert payload["meb"]["radius"] == pytest.approx(2.5e-150, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, write",
+        [
+            (["analyze"], lambda p: write_simplex(p, "tri.json", [(0, 0), (1, 0), (0, 1)])),
+            (["enclose"], lambda p: write_points(p, "sq.json", UNIT_SQUARE)),
+        ],
+        ids=["analyze", "enclose"],
+    )
+    def test_bound_violation(self, tmp_path, capsys, monkeypatch, argv, write):
+        real_jung = enclosing.jung_bound
+        monkeypatch.setattr(enclosing, "jung_bound", lambda diam, n: real_jung(diam, n) / 4)
+        code, out, err = run_cli([*argv, str(write(tmp_path))], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds enclosure bound" in err
+
+
+# Documents no file command may answer with a traceback or a warning,
+# each built for its command's key.
+HOSTILE_DOCUMENTS = {
+    "deep-nesting": lambda key: f'{{"{key}": {"[" * 3000}{"]" * 3000}}}',
+    "max-float-difference": lambda key: json.dumps({key: [[-1e308], [1e308]]}),
+    "subnormal": lambda key: json.dumps({key: [[0.0], [5e-324]]}),
+    "empty-rows": lambda key: json.dumps({key: [[], []]}),
+    "top-level-list": lambda key: json.dumps([[0.0], [1.0]]),
+    "trailing-garbage": lambda key: json.dumps({key: [[0.0], [1.0]]}) + " ]",
+}
+
+FILE_COMMANDS = {
+    "analyze": (["analyze"], "vertices"),
+    "enclose": (["enclose"], "points"),
+    "solve": (["solve", "linear-0.7"], "vertices"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+@pytest.mark.parametrize("name", sorted(HOSTILE_DOCUMENTS))
+def test_hostile_document(tmp_path, capsys, command, name):
+    argv, key = FILE_COMMANDS[command]
+    path = tmp_path / "doc.json"
+    path.write_text(HOSTILE_DOCUMENTS[name](key))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([*argv, str(path)], capsys)
+    assert code in {EXIT_OK, EXIT_FAILURE, EXIT_PARSE, EXIT_DEGENERATE, EXIT_CAP,
+                    EXIT_MAX_ITER, EXIT_NO_SIGN, EXIT_UNKNOWN_FUNCTION}
+    if out:
+        parse_envelope(out)
+    if code == EXIT_OK:
+        assert err == ""
+    elif code != EXIT_MAX_ITER:
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestSingleRead:

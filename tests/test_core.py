@@ -56,6 +56,14 @@ class TestValidate:
         with pytest.raises(InvalidPoint):
             validate_simplex([(0, 0), (np.nan, 1), (1, 0)])
 
+    def test_difference_overflow(self):
+        # The suite turns numpy's overflow warning into an error, so this
+        # also checks that the check itself warns nothing.
+        with pytest.raises(OverflowError, match="overflow the float range"):
+            validate_simplex([(-1e308,), (1e308,)])
+        with pytest.raises(OverflowError):
+            validate_simplex([(0.0, 0.0), (1e308, 0.0), (-1e308, 1e308)])
+
     def test_more_points_than_dimension(self):
         with pytest.raises(Degenerate):
             validate_simplex([(0,), (1,), (2,)])

@@ -21,6 +21,7 @@ from simplexgeo import (
     validate_simplex,
 )
 from simplexgeo.corpus import random_simplex
+from simplexgeo.enclosing import check_enclosure_bound
 from simplexgeo.errors import (
     AllDegenerate,
     CapExceeded,
@@ -195,6 +196,17 @@ class TestExactMeb:
     def test_empty_array(self):
         with pytest.raises(EmptyInput):
             exact_meb(np.zeros((0, 2)))
+
+    def test_squared_distances_out_of_float_range(self):
+        # Squared distances of 1e200 overflow; those of 3e-170 underflow to 0,
+        # where the walk would report radius inf and 0.0 respectively.
+        with pytest.raises(OverflowError):
+            exact_meb([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
+        tiny = [[0.0, 0.0], [3e-170, 0.0], [0.0, 4e-170]]
+        with pytest.raises(ArithmeticError):
+            exact_meb(tiny)
+        with pytest.raises(ArithmeticError):
+            blumenthal_wahlin_check(tiny, 2)
 
 
 def _welzl_support_ball(pts):
@@ -422,6 +434,12 @@ class TestCombinedEnclosure:
         assert report.meb_radius == pytest.approx(1.0, abs=1e-14)
         assert report.meb_center == pytest.approx([1.0])
         assert report.jung_bound == pytest.approx(1.0, abs=1e-14)
+
+    def test_bound_slack_scales_with_diameter(self):
+        # The slack is 1e-12 * diam, also for sets much smaller than 1.
+        check_enclosure_bound(1e-3 + 1e-17, 1e-3, 2e-3)
+        with pytest.raises(ArithmeticError, match="exceeds enclosure bound"):
+            check_enclosure_bound(1e-3 + 1e-14, 1e-3, 2e-3)
 
     def test_embedded_uses_hull_dimension(self):
         # A triangle in R^5 still gets the planar Jung constant.

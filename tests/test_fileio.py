@@ -51,6 +51,13 @@ def test_malformed_document(key, text):
         PARSERS[key](text)
 
 
+@pytest.mark.parametrize("key", sorted(PARSERS))
+def test_deep_nesting(key):
+    # json.loads raises RecursionError far below this depth.
+    with pytest.raises(ParseError, match="nests too deeply"):
+        PARSERS[key](f'{{"{key}": {"[" * 3000}{"]" * 3000}}}')
+
+
 def test_other_key_rejected():
     with pytest.raises(ParseError):
         parse_points_json('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
