@@ -73,8 +73,8 @@ def bisect(s: Simplex) -> tuple[Simplex, Simplex]:
     """
     lower, upper = _split(s.vertices, edge_profile(s).diam_edge)
     # Children of a valid simplex stay affinely independent (one row of
-    # the difference matrix is halved), so the ingestion rank gate is not
-    # re-run; it would reject very small but perfectly shaped children.
+    # the difference matrix is halved, and the rank test is relative), so
+    # the ingestion gate is not re-run: it would cost an SVD per child.
     return Simplex(lower), Simplex(upper)
 
 

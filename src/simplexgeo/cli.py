@@ -170,22 +170,18 @@ def cmd_enclose(args) -> int:
         "n": dim,
         "meb": {"center": center, "radius": radius, "support": list(support)},
     }
-    bounds = []
-    if radius > 0.0:  # the points are not all equal, so they have a diameter
-        diam = _set_diameter(pts, center, radius)
-        bounds.append(enclosing.jung_bound(diam, dim))
-        payload["diam"] = diam
-        payload["jung_bound"] = bounds[0]
+    bound = math.inf
     if args.variant_jung:
-        value = enclosing.set_barycentric_circumradius(pts, dim)
-        payload["set_barycentric_circumradius"] = value
-        bounds.append(value)
+        bound = enclosing.set_barycentric_circumradius(pts, dim)
+        payload["set_barycentric_circumradius"] = bound
     if args.bw_check:
         subset_max, full = enclosing.blumenthal_wahlin_check(pts, dim)
         payload["blumenthal_wahlin"] = {"subset_max": subset_max, "full": full}
-    if radius > 0.0:  # radius 0 leaves no bound: --variant-jung raises on equal points
-        enclosing.check_enclosure_bound(radius, min(bounds), diam)
-        payload["bounds_hold"] = True
+    if radius > 0.0:  # the points are not all equal, so they have a diameter
+        diam = _set_diameter(pts, center, radius)
+        jung = enclosing.jung_bound(diam, dim)
+        enclosing.check_enclosure_bound(radius, min(jung, bound), diam)
+        payload.update(diam=diam, jung_bound=jung, bounds_hold=True)
     print(_envelope("enclose", digest, payload))
     return EXIT_OK
 

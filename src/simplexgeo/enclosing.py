@@ -22,6 +22,7 @@ from .core import (
     barycenter,
     check_int,
     check_positive,
+    check_range,
     edge_profile,
     require_regular,
     squared_distance_matrix,
@@ -155,17 +156,11 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
 def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     """Exact minimum enclosing ball plus the boundary support indices.
 
-    Raises OverflowError when squared point distances overflow the float
-    range, and ArithmeticError when those of distinct points underflow it.
+    The walk runs on the offsets to the first point.  Raises the errors of
+    ``core.check_range``.
     """
     pts = _coerce_points(points)
-    with np.errstate(over="ignore"):  # bounds every squared distance formed below
-        extent = np.ptp(pts, axis=0)
-        box2 = float(np.sum(extent**2))
-    if not math.isfinite(box2):
-        raise OverflowError("squared point distances overflow the float range")
-    if extent.any() and box2 < np.finfo(float).tiny:
-        raise ArithmeticError("squared point distances underflow the float range")
+    check_range(pts)
     count, n = pts.shape
     # The walk stays in the affine hull of its support, so the cap counts
     # the dimension that hull can reach, not the ambient one.
@@ -176,10 +171,11 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
         raise CapExceeded(
             f"exact ball supports <= {MEB_MAX_POINTS} points, got {count}"
         )
-    center, support = _walk(pts)
+    rel = pts - pts[0]
+    center, support = _walk(rel)
     # Cover every point exactly; the inflation is at rounding scale.
-    radius = float(np.sqrt(((pts - center) ** 2).sum(axis=1).max()))
-    return center, radius, tuple(sorted(support))
+    radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
+    return pts[0] + center, radius, tuple(sorted(support))
 
 
 def exact_meb(points) -> tuple[np.ndarray, float]:
@@ -233,6 +229,7 @@ def _check_subset_input(points, n: int) -> np.ndarray:
             f"subset enumeration capped at {SUBSET_MAX_POINTS} points, "
             f"got {pts.shape[0]}"
         )
+    check_range(pts)
     return pts
 
 
@@ -247,7 +244,7 @@ def set_barycentric_circumradius(points, n: int) -> float:
     for combo in itertools.combinations(range(pts.shape[0]), n + 1):
         try:
             simplex = validate_simplex(pts[list(combo)])
-        except Degenerate:
+        except (Degenerate, ArithmeticError):  # rank-deficient, or too small to measure
             continue
         radius, _ = barycentric_circumradius(simplex)
         best = max(best, radius)

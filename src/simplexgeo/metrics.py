@@ -23,7 +23,6 @@ from .core import (
     REGULAR_RTOL,
     Simplex,
     as_point,
-    barycenter,
     check_int,
     check_positive,
     edge_profile,
@@ -160,15 +159,14 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
 
     Dominates the exact barycentric inradius because the face centroid is
     one particular point of each face.  Each term is cross-checked against
-    the direct coordinate distance.
+    |v_i - b| / m, b the barycenter, which divides each median m : 1.
     """
     sq = squared_distance_matrix(s)
     floored, _ = radicands(sq)
     values = np.sqrt(floored) / (s.m * (s.m + 1))
-    centroids = (s.vertices.sum(axis=0) - s.vertices) / s.m
-    direct = np.linalg.norm(barycenter(s) - centroids, axis=1)
-    scale = 1.0 + math.sqrt(float(sq.max()))
-    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * scale)
+    rel = s.vertices - s.vertices[0]
+    direct = np.linalg.norm(rel - rel.mean(axis=0), axis=1) / s.m
+    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * math.sqrt(float(sq.max())))
     if bad.size:
         i = int(bad[0])
         raise ArithmeticError(
@@ -207,7 +205,8 @@ def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
             stacklevel=2,
         )
     radius = 1.0 / float(inv_h.sum())
-    return radius * (inv_h @ s.vertices), radius
+    # The weights sum to 1, so the average is taken over offsets to vertex 0.
+    return s.vertices[0] + radius * (inv_h[1:] @ (s.vertices[1:] - s.vertices[0])), radius
 
 
 def regular_width(n: int, diam: float) -> float:
@@ -261,7 +260,7 @@ def eggleston_suite(s: Simplex) -> list:
         ]
     out = []
     for name, lhs, rhs in rows:
-        slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
+        slack = 1e-12 * max(abs(lhs), abs(rhs))
         out.append((name, lhs, rhs, lhs <= rhs + slack))
     return out
 

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from simplexgeo.corpus import generate
+from simplexgeo.corpus import generate, random_simplex
 
 
 @pytest.fixture(scope="session")
@@ -20,8 +20,6 @@ def mixed_corpus():
 def fulldim_corpus():
     """500 random full-dimensional simplices with n <= 6."""
     rng = np.random.default_rng(314159)
-    from simplexgeo.corpus import random_simplex
-
     out = []
     for _ in range(500):
         n = int(rng.integers(1, 7))
@@ -36,6 +34,37 @@ def random_rigid_motion(rng: np.random.Generator, n: int):
     q = q * np.sign(np.diag(r))
     shift = rng.uniform(-5.0, 5.0, size=n)
     return q, shift
+
+
+def translation_cases():
+    """Seeded point sets for translation tests, as (name, points) pairs.
+
+    Simplices with m = 1..8 and n = m..m+2, then clouds of 200 points in
+    R^2, R^5 and R^10: Gaussian, and the same points pushed onto the unit
+    sphere.
+    """
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for m in range(1, 9):
+        for n in range(m, m + 3):
+            cases.append((f"simplex-m{m}-n{n}", random_simplex(rng, m, n).vertices))
+    for n in (2, 5, 10):
+        gauss = rng.normal(size=(200, n))
+        cases.append((f"gauss-n{n}", gauss))
+        cases.append((f"shell-n{n}", gauss / np.linalg.norm(gauss, axis=1, keepdims=True)))
+    return cases
+
+
+def point_set_diameter(points) -> float:
+    gaps = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", gaps, gaps).max()))
+
+
+def translate_far(points, k: int) -> np.ndarray:
+    """The points moved by 10^k times their diameter along a seeded unit vector."""
+    direction = np.random.default_rng(k).normal(size=points.shape[1])
+    direction /= np.linalg.norm(direction)
+    return points + 10.0**k * point_set_diameter(points) * direction
 
 
 def brute_force_meb(points) -> float:

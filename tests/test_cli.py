@@ -32,7 +32,7 @@ from simplexgeo.cli import (
 )
 from simplexgeo.enclosing import exact_meb_support
 
-from conftest import brute_force_meb
+from conftest import brute_force_meb, translate_far, translation_cases
 
 
 def write_simplex(tmp_path, name, vertices):
@@ -60,6 +60,7 @@ def parse_envelope(out):
 
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+TRANSLATION_CASES = translation_cases()
 
 
 class TestRenderJson:
@@ -586,6 +587,13 @@ class TestNumericalFailure:
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
 
+    def test_regular_underflow(self, capsys):
+        code, out, err = run_cli(["regular", "--m", "2", "--n", "2", "--diam", "1e-160"], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "underflow" in err
+
     def test_enclose_overflow(self, tmp_path, capsys):
         path = write_points(tmp_path, "big.json", [(1e200, 0), (0, 1e200), (0, 0)])
         # The overflow is caught before the search, so numpy warns nothing.
@@ -614,6 +622,39 @@ class TestNumericalFailure:
         assert payload["diam"] == pytest.approx(5e-150, rel=1e-12)
         assert payload["meb"]["radius"] == pytest.approx(2.5e-150, rel=1e-12)
 
+    def test_analyze_small_but_representable(self, tmp_path, capsys):
+        # The rank test is relative, so a tiny triangle is a triangle.
+        path = write_simplex(tmp_path, "small.json", [(0, 0), (1e-12, 0), (0, 1e-12)])
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        metrics = parse_envelope(out)["payload"]["metrics"]
+        assert metrics["diam"] == pytest.approx(math.sqrt(2) * 1e-12, rel=1e-12)
+
+    def test_analyze_underflow(self, tmp_path, capsys):
+        path = write_simplex(tmp_path, "tiny.json", [(0, 0), (1e-160, 0), (0, 1e-160)])
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "underflow" in err
+
+    @pytest.mark.parametrize(
+        "argv, write, radius",
+        [
+            (["analyze"], write_simplex, lambda payload: payload["enclosure"]["meb_radius"]),
+            (["enclose"], write_points, lambda payload: payload["meb"]["radius"]),
+        ],
+        ids=["analyze", "enclose"],
+    )
+    def test_top_of_float_range(self, tmp_path, capsys, argv, write, radius):
+        # Unit distance at 1.7e308: every average is taken over offsets.
+        path = write(tmp_path, "far.json", [(1.7e308, 0), (1.7e308, 1)])
+        code, out, err = run_cli([*argv, str(path)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        assert radius(parse_envelope(out)["payload"]) == 0.5
+
     @pytest.mark.parametrize(
         "argv, write",
         [
@@ -630,6 +671,20 @@ class TestNumericalFailure:
         assert_clean_error(out, err)
         assert err.startswith("error:") and err.count("\n") == 1
         assert "exceeds enclosure bound" in err
+
+
+@pytest.mark.parametrize("name, points", TRANSLATION_CASES, ids=[n for n, _ in TRANSLATION_CASES])
+def test_translated_input_succeeds(tmp_path, capsys, name, points):
+    """Sets moved by up to 10^9 diameters keep their answer."""
+    if name.startswith("simplex"):
+        argv, write = ["analyze"], write_simplex
+    else:
+        argv, write = ["enclose"], write_points
+    for k in range(10):
+        path = write(tmp_path, f"far{k}.json", translate_far(points, k))
+        code, out, err = run_cli([*argv, str(path)], capsys)
+        assert (code, err) == (EXIT_OK, ""), f"moved by 10^{k} diameters"
+        parse_envelope(out)
 
 
 # Documents no file command may answer with a traceback or a warning,

@@ -475,6 +475,21 @@ class TestSetBarycentricCircumradius:
             _, radius = exact_meb(pts)
             assert radius <= min(value, jung_bound(diam, n)) + 1e-12 * diam
 
+    def test_subsets_too_small_to_measure_are_skipped(self):
+        # The triangle of the first three points has squared edges that
+        # underflow; every other full-rank triangle still counts.
+        pts = [(0, 0), (1e-160, 0), (0, 1e-160), (1, 1), (2, 0)]
+        value = set_barycentric_circumradius(pts, 2)
+        want = max(
+            barycentric_circumradius(validate_simplex([pts[i], (1, 1), (2, 0)]))[0]
+            for i in range(3)
+        )
+        assert value == want
+
+    def test_overflow_is_not_skipped(self):
+        with pytest.raises(OverflowError):
+            set_barycentric_circumradius([(0, 0), (1, 0), (0, 1), (1e200, 1e200)], 2)
+
     def test_guards(self):
         with pytest.raises(TooFewPoints):
             set_barycentric_circumradius([(0, 0), (1, 0)], 2)

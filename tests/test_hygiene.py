@@ -1,9 +1,12 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import pytest
+
+from simplexgeo import cli
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "simplexgeo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -23,3 +26,13 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_readme_exit_codes_match_cli():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("Exit codes:", 1)[1].strip().splitlines()
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines)
+    cells = [row.split("|")[1].strip() for row in rows]
+    documented = {int(cell) for cell in cells if cell.isdigit()}
+    defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert documented == defined
