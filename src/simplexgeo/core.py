@@ -22,6 +22,7 @@ from .errors import (
     NotFullDimensional,
     NotRegular,
     TooFewPoints,
+    Underflow,
 )
 
 # Smallest singular value of the difference matrix must exceed this
@@ -98,25 +99,26 @@ def check_positive(name: str, value) -> None:
 
 
 def check_range(pts: np.ndarray) -> None:
-    """Raise OverflowError, or ArithmeticError for rows not all equal, when
-    their squared distances overflow or underflow the float range, as judged
-    by the squared diagonal of their bounding box, which bounds them all."""
-    cols = np.ascontiguousarray(pts.T)  # rows reduce 10-35x faster than axis 0 of 10^4 points
+    """Raise OverflowError, or Underflow for rows not all equal, when their
+    squared distances overflow or underflow the float range, as judged by
+    the squared diagonal of their bounding box, which bounds them all."""
     with np.errstate(over="ignore"):  # an overflow shows up as a non-finite diagonal
-        extent = cols.max(axis=1) - cols.min(axis=1)
+        extent = pts.max(axis=0) - pts.min(axis=0)
         box2 = float(extent @ extent)
     if not math.isfinite(box2):
         raise OverflowError("squared point distances overflow the float range")
     if extent.any() and box2 < np.finfo(float).tiny:
-        raise ArithmeticError("squared point distances underflow the float range")
+        raise Underflow("squared point distances underflow the float range")
 
 
 def validate_simplex(vertices) -> Simplex:
     """Build a Simplex after checking shape, finiteness, range and affine rank.
 
-    Raises TooFewPoints for fewer than two vertices, DimensionMismatch for
-    mixed dimensions, the errors of check_range, and Degenerate when the
-    difference matrix has a singular value <= RANK_RTOL times its largest.
+    Raises TooFewPoints, DimensionMismatch, the errors of check_range,
+    Degenerate when the difference matrix has a singular value <= RANK_RTOL
+    times its largest, and Underflow when the smallest, sv, has sv**2 below
+    (m+1) times the smallest normal float.  Edges are >= sv and inverse
+    altitudes <= sqrt(m)/sv, so then their squares are in range.
     """
     pts = [as_point(v) for v in vertices]
     if len(pts) < 2:
@@ -140,6 +142,8 @@ def validate_simplex(vertices) -> Simplex:
             "vertices are affinely dependent within tolerance "
             f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
         )
+    if sv[-1] ** 2 < (m + 1) * np.finfo(float).tiny:
+        raise Underflow(f"simplex too small: singular value {sv[-1]:.3e} underflows when squared")
     return Simplex(arr)
 
 
@@ -222,8 +226,7 @@ def regular_simplex(m: int, n: int, diam: float) -> Simplex:
     coords = centered @ vt[:m].T
     out = np.zeros((m + 1, n))
     out[:, :m] = coords
-    check_range(out)
-    return Simplex(out)
+    return validate_simplex(out)
 
 
 def edge_spread(profile: EdgeProfile) -> float:

@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     TooFewPoints,
+    Underflow,
 )
 
 MEB_MAX_DIM = 10
@@ -229,7 +230,6 @@ def _check_subset_input(points, n: int) -> np.ndarray:
             f"subset enumeration capped at {SUBSET_MAX_POINTS} points, "
             f"got {pts.shape[0]}"
         )
-    check_range(pts)
     return pts
 
 
@@ -244,7 +244,7 @@ def set_barycentric_circumradius(points, n: int) -> float:
     for combo in itertools.combinations(range(pts.shape[0]), n + 1):
         try:
             simplex = validate_simplex(pts[list(combo)])
-        except (Degenerate, ArithmeticError):  # rank-deficient, or too small to measure
+        except (Degenerate, Underflow):  # rank-deficient, or too small to measure
             continue
         radius, _ = barycentric_circumradius(simplex)
         best = max(best, radius)

@@ -21,6 +21,10 @@ class Degenerate(SimplexError):
     """The vertex set is affinely dependent under the rank tolerance."""
 
 
+class Underflow(SimplexError, ArithmeticError):
+    """Squared lengths of a point set underflow the float range."""
+
+
 class IndexOutOfRange(SimplexError):
     """A vertex index is outside 0..m."""
 

@@ -23,6 +23,7 @@ from .core import (
     REGULAR_RTOL,
     Simplex,
     as_point,
+    centroid,
     check_int,
     check_positive,
     edge_profile,
@@ -165,7 +166,7 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
     floored, _ = radicands(sq)
     values = np.sqrt(floored) / (s.m * (s.m + 1))
     rel = s.vertices - s.vertices[0]
-    direct = np.linalg.norm(rel - rel.mean(axis=0), axis=1) / s.m
+    direct = np.linalg.norm(rel - centroid(rel), axis=1) / s.m
     bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * math.sqrt(float(sq.max())))
     if bad.size:
         i = int(bad[0])

@@ -640,6 +640,30 @@ class TestNumericalFailure:
         assert "underflow" in err
 
     @pytest.mark.parametrize(
+        "vertices",
+        [[(0, 0, 0), (1e-150, 0, 0), (0, 1e-155, 0)], [(0, 0), (1e-153, 0), (0, 5e-155)]],
+        ids=["m2-n3", "m2-n2"],
+    )
+    def test_analyze_too_thin(self, tmp_path, capsys, vertices):
+        # The diagonal is in range, but the inverse altitudes squared are not.
+        path = write_simplex(tmp_path, "thin.json", vertices)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "underflow" in err
+
+    def test_analyze_thin_above_the_floor(self, tmp_path, capsys):
+        a, b = 1e-150, 1e-153
+        path = write_simplex(tmp_path, "thin.json", [(0, 0), (a, 0), (0, b)])
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        metrics = parse_envelope(out)["payload"]["metrics"]
+        c = math.hypot(a, b)
+        assert metrics["barycentric_inradius"] == pytest.approx(a * b / c / 3, rel=1e-12)
+        assert metrics["exact_inradius"] == pytest.approx(a * b / (a + b + c), rel=1e-12)
+
+    @pytest.mark.parametrize(
         "argv, write, radius",
         [
             (["analyze"], write_simplex, lambda payload: payload["enclosure"]["meb_radius"]),

@@ -25,6 +25,7 @@ from simplexgeo.errors import (
     InvalidPoint,
     NotRegular,
     TooFewPoints,
+    Underflow,
 )
 
 from conftest import random_rigid_motion
@@ -63,6 +64,15 @@ class TestValidate:
             validate_simplex([(-1e308,), (1e308,)])
         with pytest.raises(OverflowError):
             validate_simplex([(0.0, 0.0), (1e308, 0.0), (-1e308, 1e308)])
+
+    def test_too_thin_for_the_float_range(self):
+        # Diagonals above the range floor, but the squared inverse altitudes
+        # would overflow: the floor on the smallest singular value refuses them.
+        with pytest.raises(Underflow, match="too small"):
+            validate_simplex([(0, 0, 0), (1e-150, 0, 0), (0, 1e-155, 0)])
+        with pytest.raises(Underflow, match="too small"):
+            validate_simplex([(0, 0), (1e-153, 0), (0, 5e-155)])
+        validate_simplex([(0, 0), (1e-150, 0), (0, 1e-153)])
 
     def test_more_points_than_dimension(self):
         with pytest.raises(Degenerate):

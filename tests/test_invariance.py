@@ -2,6 +2,7 @@
 to rounding of the coordinates, and a power-of-two scaling exactly."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from simplexgeo import (
     metrics_report,
     validate_simplex,
 )
+from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import SimplexError
 
 from conftest import point_set_diameter, translate_far, translation_cases
@@ -131,3 +133,28 @@ def test_power_of_two_scaling_is_exact(vertices, k):
                 continue
             expected = np.ldexp(np.asarray(value, dtype=float), SCALE_POWER[field.name] * k)
             assert np.array_equal(np.asarray(scaled_value, dtype=float), expected), field.name
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_metrics_at_the_thinness_floor_scale_exactly(m):
+    # Scaled by the smallest power of two that validation accepts, a simplex
+    # keeps every metrics field exactly: no inverse altitude overflows.
+    tiny = np.finfo(float).tiny
+    rng = np.random.default_rng(m)
+    for n in (m, m + 1):
+        for squash in (1.0, 1e-3):
+            v = random_simplex(rng, m, n).vertices.copy()
+            v[:, -1] *= squash
+            sv = np.linalg.svd(v[1:] - v[0], compute_uv=False)[-1]
+            k = math.ceil(math.log2(math.sqrt((m + 1) * tiny) / sv))
+            want = metrics_report(validate_simplex(v))
+            got = metrics_report(validate_simplex(np.ldexp(v, k)))
+            for field in dataclasses.fields(want):
+                value = getattr(want, field.name)
+                if value is None:
+                    continue
+                expected = np.ldexp(np.asarray(value, dtype=float), SCALE_POWER[field.name] * k)
+                scaled = np.asarray(getattr(got, field.name), dtype=float)
+                assert np.array_equal(scaled, expected), field.name
+            with pytest.raises(SimplexError, match="underflow"):
+                validate_simplex(np.ldexp(v, k - 1))
