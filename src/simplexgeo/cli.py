@@ -5,8 +5,13 @@ Every command prints a single-line envelope per result on stdout:
     {"command": ..., "input_digest": ..., "payload": ..., "schema_version": 1}
 
 Keys are sorted and floats carry 17 significant digits, so identical
-invocations produce byte-identical output.  Report dataclasses are
-written field by field, so their field names are the payload keys.
+invocations produce byte-identical output.  ``render_json`` writes None,
+bool, int, float, str, dicts with string keys, lists, tuples, numpy
+arrays, numpy scalars (widened to the Python value) and dataclass
+instances, written field by field so their field names are the payload
+keys.  It raises ValueError for a NaN or infinity anywhere in the value
+and TypeError for a non-string key or any other type.
+
 Diagnostics go to stderr.  ``main`` maps each exception to an exit code
 through one first-match table: 0 success, 1 numerical failure (overflow,
 a failed self-check, a singular system), 2 parse or argument error,
@@ -22,10 +27,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -75,36 +80,103 @@ _EXIT_CODES = (
 def render_json(obj) -> str:
     """Serialize with sorted keys and 17-significant-digit floats.
 
-    A dataclass instance is written as the object of its fields, so a
-    report's field names are its keys in the output schema.
+    The accepted types and the two errors are listed in the module
+    docstring.  Each node is dispatched on its exact type; subclasses and
+    numpy scalars take the ``isinstance`` rules of ``_render_other``.
+    Nested nodes go through ``_render``, so a wrapper around this function
+    sees one call per value.
     """
-    if obj is None:
-        return "null"
+    return _render(obj)
+
+
+def _render(obj) -> str:
+    return _WRITERS.get(type(obj), _render_other)(obj)
+
+
+def _render_bool(obj) -> str:
+    return "true" if obj else "false"
+
+
+def _render_float(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    return f"{value:.17g}"
+
+
+def _render_dict(obj: dict) -> str:
+    return "{" + ",".join([
+        encode_basestring_ascii(key) + ":" + _render(obj[key])
+        if isinstance(key, str) else _bad_key(key)
+        for key in sorted(obj)
+    ]) + "}"
+
+
+def _bad_key(key):
+    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+
+
+def _render_list(obj) -> str:
+    return "[" + ",".join([_render(item) for item in obj]) + "]"
+
+
+def _render_array(obj: np.ndarray) -> str:
+    # A float vector up to double width widens to Python floats in ``tolist``,
+    # so one finiteness test covers it; any other array, or one that fails the
+    # test, is walked element by element and raises at its first NaN or inf.
+    if obj.ndim == 1 and obj.dtype.char in "efd" and np.isfinite(obj).all():
+        return "[" + ",".join(map("{:.17g}".format, obj.tolist())) + "]"
+    return _render(obj.tolist())
+
+
+def _dataclass_writer(cls):
+    """Writer for the instances of one dataclass, its keys sorted and encoded once."""
+    plan = [(encode_basestring_ascii(name) + ":", name)
+            for name in sorted(field.name for field in dataclasses.fields(cls))]
+
+    def write(obj) -> str:
+        return "{" + ",".join([key + _render(getattr(obj, name)) for key, name in plan]) + "}"
+
+    return write
+
+
+def _render_other(obj) -> str:
+    """Subclasses, numpy scalars and dataclasses, by the rules of the exact types."""
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return "true" if obj else "false"
+        return _render_bool(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
-        return f"{value:.17g}"
+        return _render_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
-        return render_json(obj.tolist())
+        return _render(obj.tolist())
     if isinstance(obj, dict):
-        parts = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{json.dumps(key)}:{render_json(obj[key])}")
-        return "{" + ",".join(parts) + "}"
+        return _render_dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(render_json(x) for x in obj) + "]"
+        return _render_list(obj)
     if dataclasses.is_dataclass(obj):
-        return render_json(_fields(obj))
+        if isinstance(obj, type):  # a dataclass itself, written from its class attributes
+            return _render(_fields(obj))
+        write = _WRITERS[type(obj)] = _dataclass_writer(type(obj))
+        return write(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# Writers by exact type.  A dataclass joins when its first instance is
+# written, since the rules of ``_render_other`` depend on the type alone;
+# every other type goes through ``_render_other``.
+_WRITERS = {
+    type(None): lambda obj: "null",
+    bool: _render_bool,
+    int: int.__repr__,
+    float: _render_float,
+    str: encode_basestring_ascii,
+    dict: _render_dict,
+    list: _render_list,
+    tuple: _render_list,
+    np.ndarray: _render_array,
+}
 
 
 def _fields(obj) -> dict:
@@ -144,16 +216,20 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float) -> float:
-    # |p - q| <= |p - center| + radius, so a pair beating the one from the point
-    # farthest from the center has both ends where that sum reaches its length.
+def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float, support: tuple) -> float:
+    # |p - q| <= |p - center| + radius, so a pair longer than every pair through
+    # a support point has both ends where that sum reaches its length.  Every
+    # support point is on the sphere, so the bound takes them all rather than
+    # the one that rounding puts farthest from the center.
+    def farthest2(rows: np.ndarray, point: np.ndarray) -> float:
+        gaps = rows - point
+        return float(np.max(np.einsum("ij,ij->i", gaps, gaps)))
+
+    best = max(farthest2(pts, pts[i]) for i in support)
     dist = np.linalg.norm(pts - center, axis=1)
-    gaps = pts - pts[np.argmax(dist)]
-    best = float(np.max(np.einsum("ij,ij->i", gaps, gaps)))
     kept = pts[dist + radius >= math.sqrt(best) * (1.0 - 1e-9)]
     for row in range(kept.shape[0] - 1):
-        gaps = kept[row + 1 :] - kept[row]
-        best = max(best, float(np.max(np.einsum("ij,ij->i", gaps, gaps))))
+        best = max(best, farthest2(kept[row + 1 :], kept[row]))
     return math.sqrt(best)
 
 
@@ -178,7 +254,7 @@ def cmd_enclose(args) -> int:
         subset_max, full = enclosing.blumenthal_wahlin_check(pts, dim)
         payload["blumenthal_wahlin"] = {"subset_max": subset_max, "full": full}
     if radius > 0.0:  # the points are not all equal, so they have a diameter
-        diam = _set_diameter(pts, center, radius)
+        diam = _set_diameter(pts, center, radius, support)
         jung = enclosing.jung_bound(diam, dim)
         enclosing.check_enclosure_bound(radius, min(jung, bound), diam)
         payload.update(diam=diam, jung_bound=jung, bounds_hold=True)
@@ -202,8 +278,7 @@ def cmd_solve(args) -> int:
     }
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            for step in trace.steps:
-                fh.write(render_json(step) + "\n")
+            fh.writelines([render_json(step) + "\n" for step in trace.steps])
     print(_envelope("solve", digest, payload))
     if not trace.converged:
         print(

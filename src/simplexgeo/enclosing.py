@@ -257,12 +257,18 @@ def blumenthal_wahlin_check(points, n: int) -> tuple[float, float]:
     """(max exact ball radius over (n+1)-subsets, exact ball radius of all).
 
     The two radii agree: enclosability of every (n+1)-subset by a given
-    radius extends to the whole set, and conversely.
+    radius extends to the whole set, and conversely.  A subset whose
+    squared distances underflow is skipped, as in
+    ``set_barycentric_circumradius``: its radius is below 1.5e-154.  The
+    whole set keeps the range check.
     """
     pts = _check_subset_input(points, n)
     worst = 0.0
     for combo in itertools.combinations(range(pts.shape[0]), n + 1):
-        _, radius = exact_meb(pts[list(combo)])
+        try:
+            _, radius = exact_meb(pts[list(combo)])
+        except Underflow:
+            continue
         worst = max(worst, radius)
     _, full = exact_meb(pts)
     return worst, full

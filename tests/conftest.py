@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -92,3 +95,40 @@ def brute_force_meb(points) -> float:
             if float(np.linalg.norm(pts - center, axis=1).max()) <= radius * (1 + 1e-9):
                 best = min(best, radius)
     return best
+
+
+def reference_render(obj) -> str:
+    """The serialiser's reference: one ``isinstance`` chain per node and one
+    ``json.dumps`` per key and string.
+
+    This was ``cli.render_json`` before exact-type dispatch; the library's
+    output must match it byte for byte.
+    """
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        value = float(obj)
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value!r}")
+        return f"{value:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_render(obj.tolist())
+    if isinstance(obj, dict):
+        parts = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(f"{json.dumps(key)}:{reference_render(obj[key])}")
+        return "{" + ",".join(parts) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(reference_render(x) for x in obj) + "]"
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return reference_render(fields)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -16,7 +16,13 @@ import warnings
 import numpy as np
 import pytest
 
-from simplexgeo import barycentric_circumradius, enclosing, regular_simplex, validate_simplex
+from simplexgeo import (
+    barycentric_circumradius,
+    bisection,
+    enclosing,
+    regular_simplex,
+    validate_simplex,
+)
 from simplexgeo.cli import (
     EXIT_CAP,
     EXIT_DEGENERATE,
@@ -32,7 +38,7 @@ from simplexgeo.cli import (
 )
 from simplexgeo.enclosing import exact_meb_support
 
-from conftest import brute_force_meb, translate_far, translation_cases
+from conftest import brute_force_meb, reference_render, translate_far, translation_cases
 
 
 def write_simplex(tmp_path, name, vertices):
@@ -258,6 +264,17 @@ class TestEnclose:
         assert pair["full"] == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
         assert pair["subset_max"] == pytest.approx(pair["full"], rel=1e-9)
 
+    def test_bw_check_skips_underflowing_subsets(self, tmp_path, capsys):
+        # Subsets of the three points 1e-160 apart fail the range check on
+        # their own; the whole set passes it, as in plain enclose.
+        points = [(0, 0), (1e-160, 0), (0, 1e-160), (1, 1), (2, 0)]
+        path = write_points(tmp_path, "tiny.json", points)
+        code, out, err = run_cli(["enclose", str(path), "--bw-check"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        pair = parse_envelope(out)["payload"]["blumenthal_wahlin"]
+        assert pair["subset_max"] == pair["full"]
+
     def test_cap_exceeded(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         path = write_points(tmp_path, "many.json", rng.uniform(size=(20, 2)).tolist())
@@ -366,8 +383,22 @@ class TestSetDiameter:
              "circle-2000", "duplicates", "one-point-repeated", "collinear", "two-points"],
     )
     def test_matches_all_pairs(self, pts):
-        center, radius, _ = exact_meb_support(pts)
-        assert _set_diameter(pts, center, radius) == all_pairs_diameter(pts)
+        center, radius, support = exact_meb_support(pts)
+        assert _set_diameter(pts, center, radius, support) == all_pairs_diameter(pts)
+
+    def test_seeded_clouds(self):
+        # Gaussian and shell clouds with a random offset and scale, as enclose
+        # meets them; the pruning bound depends only on the support set.
+        rng = np.random.default_rng(20261019)
+        for n in (2, 5, 10):
+            for shell in (False, True):
+                pts = rng.standard_normal((int(rng.integers(200, 600)), n))
+                if shell:
+                    pts = shell_cloud(rng, pts.shape[0], n)
+                scale = 10.0 ** rng.uniform(-1.0, 1.0)
+                pts = rng.uniform(-5.0, 5.0, size=n) * scale + scale * pts
+                center, radius, support = exact_meb_support(pts)
+                assert _set_diameter(pts, center, radius, support) == all_pairs_diameter(pts)
 
 
 class TestSolve:
@@ -437,6 +468,32 @@ class TestSolve:
         assert first["depth"] == 0
         assert first["child_choice"] is None
         assert all(json.loads(line)["depth"] == k for k, line in enumerate(lines))
+
+    @pytest.mark.parametrize(
+        "function, vertices",
+        [
+            ("linear-0.7", [(0.0,), (1.0,)]),
+            ("cubic-1d", [(0.0,), (1.0,)]),
+            ("shifted-identity-2d", [(0, 0), (1, 0), (0, 1)]),
+            ("circle-line-2d", [(0, 0), (1, 0), (0, 1)]),
+        ],
+    )
+    def test_trace_file_matches_reference(self, tmp_path, capsys, monkeypatch, function, vertices):
+        traces = []
+
+        def recording_solve(*args, solve=bisection.solve):
+            traces.append(solve(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(bisection, "solve", recording_solve)
+        path = write_simplex(tmp_path, "start.json", vertices)
+        trace_path = tmp_path / "trace.jsonl"
+        argv = ["solve", function, str(path), "--tol", "1e-12", "--trace", str(trace_path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code in (EXIT_OK, EXIT_MAX_ITER)
+        (trace,) = traces
+        expected = "".join(reference_render(step) + "\n" for step in trace.steps)
+        assert trace_path.read_bytes() == expected.encode("ascii")
 
 
 class TestRegular:

@@ -1,5 +1,6 @@
 """The analyze reports describe the shape only: they follow a translation
-to rounding of the coordinates, and a power-of-two scaling exactly."""
+or a rigid motion to rounding of the coordinates, and a power-of-two
+scaling exactly."""
 
 import dataclasses
 import math
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexgeo import (
+    barycenter,
     combined_enclosure,
     exact_meb,
     median_sums,
@@ -19,7 +21,12 @@ from simplexgeo import (
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import SimplexError
 
-from conftest import point_set_diameter, translate_far, translation_cases
+from conftest import (
+    point_set_diameter,
+    random_rigid_motion,
+    translate_far,
+    translation_cases,
+)
 
 CASES = translation_cases()
 
@@ -158,3 +165,43 @@ def test_metrics_at_the_thinness_floor_scale_exactly(m):
                 assert np.array_equal(scaled, expected), field.name
             with pytest.raises(SimplexError, match="underflow"):
                 validate_simplex(np.ldexp(v, k - 1))
+
+
+# Fields that move with the simplex; every other field is invariant.
+MOVING = {"meb_center", "barycenter", "exact_incenter"}
+
+
+def test_rigid_motion():
+    # Tolerance: 64 (m+1) eps times diam to the field's scale power; moving
+    # fields are compared at the size of the coordinates instead.  Seeded
+    # draws with m = 1..8 stayed within 14 (m+1) eps.
+    rng = np.random.default_rng(20261019)
+    eps = np.finfo(float).eps
+    for m in range(1, 9):
+        for n in range(m, m + 3):
+            for _ in range(4):
+                v = random_simplex(rng, m, n).vertices
+                q, shift = random_rigid_motion(rng, n)
+                w = v @ q.T + shift
+                s, t = validate_simplex(v), validate_simplex(w)
+                diam = point_set_diameter(v)
+                unit = 64 * (m + 1) * eps
+                size = max(diam, np.abs(v).max(), np.abs(w).max())
+                for report in ANALYZE_REPORTS:
+                    want, got = report(s), report(t)
+                    for field in dataclasses.fields(want):
+                        name = field.name
+                        value, moved = getattr(want, name), getattr(got, name)
+                        if value is None:
+                            assert moved is None, name
+                        elif name == "argmax_vertex":
+                            # A near tie may pick another vertex, but never a nearer one.
+                            gaps = np.linalg.norm(v - barycenter(s), axis=1)
+                            assert gaps[moved] >= gaps[value] - unit * diam, name
+                        elif name in MOVING:
+                            expected = q @ np.asarray(value) + shift
+                            assert np.abs(np.asarray(moved) - expected).max() <= unit * size, name
+                        else:
+                            tol = unit * diam ** SCALE_POWER[name]
+                            gap = np.abs(np.asarray(moved, dtype=float) - np.asarray(value, dtype=float))
+                            assert gap.max() <= tol, name
