@@ -5,7 +5,9 @@ farthest vertex, computable from edge lengths alone.  Centered at the
 barycenter it encloses the simplex, so the exact minimum enclosing ball
 radius never exceeds it; Jung's bound provides a second cap in terms of
 the diameter.  The exact ball comes from an active-set walk that
-certifies the ball when it stops (see ``_walk``).
+certifies the ball when it stops, and that updates a QR factor of its
+support one point at a time rather than factorising at every step (see
+``_walk``).
 """
 
 from __future__ import annotations
@@ -101,17 +103,28 @@ def _coerce_points(points) -> np.ndarray:
     return pts
 
 
-def _support_ball(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Circumcenter of affinely independent points within their affine hull.
+def _append(qt: np.ndarray, tri: np.ndarray, tri_inv: np.ndarray, j: int, edge: np.ndarray) -> None:
+    """Append ``edge`` as row j of a thin QR factor of edge vectors.
 
-    Returns the center, its barycentric coefficients on the points and an
-    orthonormal basis of the hull's directions.
+    The first j rows of ``qt`` are orthonormal, and the edge vectors are the
+    rows of ``tri[:j, :j].T @ qt[:j]``, with ``tri`` upper triangular and
+    ``tri_inv`` its inverse.  Classical Gram-Schmidt applied twice keeps the
+    new row orthogonal to the others to rounding at every condition the
+    walk admits, where a Gram or Cholesky factor would square the condition
+    number; the inverse grows by bordering.
     """
-    rel = pts[1:] - pts[0]
-    basis, tri = np.linalg.qr(rel.T)
-    half = np.linalg.solve(tri.T, 0.5 * np.einsum("ij,ij->i", rel, rel))
-    coef = np.linalg.solve(tri, half)
-    return pts[0] + basis @ half, np.concatenate(([1.0 - coef.sum()], coef)), basis
+    basis = qt[:j]
+    proj = basis @ edge
+    rest = edge - proj @ basis
+    again = basis @ rest
+    rest -= again @ basis
+    proj += again
+    norm = math.hypot(*rest)  # no underflow for a short residual
+    qt[j] = rest / norm
+    tri[:j, j] = proj
+    tri[j, j] = norm
+    tri_inv[:j, j] = tri_inv[:j, :j] @ proj / -norm
+    tri_inv[j, j] = 1.0 / norm
 
 
 def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
@@ -123,18 +136,37 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
     point reaches the sphere and joins the support; at the circumcenter,
     the support point with the most negative coefficient is dropped.  The
     walk stops at a circumcenter with no negative coefficient: the center
-    then lies in the support's hull, which certifies the ball.
+    then lies in the support's hull, which certifies the ball.  No point
+    then lies farther than (1 + _IN_BALL_RTOL) R from the support's
+    circumcenter, R its circumradius, up to the rounding of the computed
+    circumcenter.
+
+    The walk carries a thin QR factor ``Q R`` of the support's edge vectors
+    ``p_j - p_0``, and ``R^-1``, across steps.  As ``|p_j - p_0|^2 =
+    |R[:, j]|^2 = 2 b_j``, the circumcenter is ``p_0 + Q R^-T b``, its
+    coefficients on the edges are ``R^-1 R^-T b``, and ``Q Q^T`` projects
+    onto the hull's directions: no step factorises or solves.  A joining
+    point is appended in O(k n), k <= 11 the support size; a drop rebuilds
+    the factor by appending the points that remain, in O(k^2 n).  The
+    O(N n) pass over the points dominates a step.
     """
+    count, n = pts.shape
+    dim = min(n, count - 1)
+    qt, tri, tri_inv = np.zeros((dim, n)), np.zeros((dim, dim)), np.zeros((dim, dim))
     center = pts.mean(axis=0)
     support = [int(np.argmax(np.einsum("ij,ij->i", pts - center, pts - center)))]
     for _ in range(WALK_MAX_STEPS):
-        target, coef, basis = _support_ball(pts[support])
+        edges = len(support) - 1
+        basis, inv = qt[:edges], tri_inv[:edges, :edges]
+        half = 0.5 * np.einsum("ij,ij->j", tri[:edges, :edges], tri[:edges, :edges])
+        coords = half @ inv  # the circumcenter's, along Q
+        target = pts[support[0]] + coords @ basis
         rel = pts - center
         dist2 = np.einsum("ij,ij->i", rel, rel)
         r2 = float(dist2.max())
         step = target - center
         # Remove rounding along the hull, so points of the hull cannot stop the walk.
-        step -= basis @ (basis.T @ step)
+        step -= (basis @ step) @ basis
         step2 = float(step @ step)
         if step2 > _IN_BALL_RTOL**2 * r2:
             # At center + t * step, p is as far as the support when
@@ -145,12 +177,17 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
             stop = int(np.argmin(t))
             if t[stop] < 1.0:
                 center = center + t[stop] * step
+                _append(qt, tri, tri_inv, edges, pts[stop] - pts[support[0]])
                 support.append(stop)
                 continue
         center = target
+        coef = inv @ coords
+        coef = np.concatenate(([1.0 - coef.sum()], coef))
         if coef.min() >= -_IN_BALL_RTOL:
             return center, support
         support.pop(int(np.argmin(coef)))
+        for j, idx in enumerate(support[1:]):
+            _append(qt, tri, tri_inv, j, pts[idx] - pts[support[0]])
     raise ArithmeticError(f"exact ball walk did not converge in {WALK_MAX_STEPS} steps")
 
 
@@ -237,18 +274,25 @@ def set_barycentric_circumradius(points, n: int) -> float:
     """Largest barycentric circumradius over all full-dimensional subsets.
 
     Enumerates every affinely independent (n+1)-subset of the points; the
-    exact enclosing radius of the whole set never exceeds the result.
+    exact enclosing radius of the whole set never exceeds the result.  A
+    subset too small to measure is skipped; when no subset is left, raises
+    Underflow if one was skipped for that, and AllDegenerate otherwise.
     """
     pts = _check_subset_input(points, n)
-    best = -1.0
+    best, underflow = -1.0, None
     for combo in itertools.combinations(range(pts.shape[0]), n + 1):
         try:
             simplex = validate_simplex(pts[list(combo)])
-        except (Degenerate, Underflow):  # rank-deficient, or too small to measure
+        except Degenerate:
+            continue
+        except Underflow as exc:  # too small to measure
+            underflow = exc
             continue
         radius, _ = barycentric_circumradius(simplex)
         best = max(best, radius)
     if best < 0.0:
+        if underflow is not None:
+            raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
         raise AllDegenerate("every (n+1)-subset failed the rank test")
     return best
 
@@ -259,17 +303,21 @@ def blumenthal_wahlin_check(points, n: int) -> tuple[float, float]:
     The two radii agree: enclosability of every (n+1)-subset by a given
     radius extends to the whole set, and conversely.  A subset whose
     squared distances underflow is skipped, as in
-    ``set_barycentric_circumradius``: its radius is below 1.5e-154.  The
+    ``set_barycentric_circumradius``: its radius is below 1.5e-154.  When
+    every subset is skipped, raises Underflow rather than report 0.  The
     whole set keeps the range check.
     """
     pts = _check_subset_input(points, n)
-    worst = 0.0
+    worst, underflow = -1.0, None
     for combo in itertools.combinations(range(pts.shape[0]), n + 1):
         try:
             _, radius = exact_meb(pts[list(combo)])
-        except Underflow:
+        except Underflow as exc:
+            underflow = exc
             continue
         worst = max(worst, radius)
+    if worst < 0.0:  # every subset underflowed
+        raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
     _, full = exact_meb(pts)
     return worst, full
 

@@ -275,6 +275,20 @@ class TestEnclose:
         pair = parse_envelope(out)["payload"]["blumenthal_wahlin"]
         assert pair["subset_max"] == pair["full"]
 
+    @pytest.mark.parametrize("flag", ["--bw-check", "--variant-jung"])
+    def test_every_subset_underflows(self, tmp_path, capsys, flag):
+        # Each triple's squared box diagonal, 5a^2, underflows and the whole
+        # set's, 8a^2, does not: the ball exists, but no subset bound does.
+        a = 5.85e-155
+        path = write_points(tmp_path, "tiny.json", [(-a, 0), (a, 0), (0, -a), (0, a)])
+        code, out, _ = run_cli(["enclose", str(path)], capsys)
+        assert code == EXIT_OK
+        assert parse_envelope(out)["payload"]["meb"]["radius"] == pytest.approx(a, rel=1e-15)
+        code, out, err = run_cli(["enclose", str(path), flag], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert "underflow" in err
+
     def test_cap_exceeded(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         path = write_points(tmp_path, "many.json", rng.uniform(size=(20, 2)).tolist())

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from simplexgeo import (
     blumenthal_wahlin_check,
     combined_enclosure,
     edge_profile,
+    enclosing,
     exact_meb,
     exact_meb_support,
     fermat_sum_regular,
@@ -20,8 +22,9 @@ from simplexgeo import (
     set_barycentric_circumradius,
     validate_simplex,
 )
+from simplexgeo.cli import _set_diameter
 from simplexgeo.corpus import random_simplex
-from simplexgeo.enclosing import check_enclosure_bound
+from simplexgeo.enclosing import WALK_MAX_STEPS, check_enclosure_bound
 from simplexgeo.errors import (
     AllDegenerate,
     CapExceeded,
@@ -30,8 +33,10 @@ from simplexgeo.errors import (
     InvalidDimension,
     NotRegular,
     TooFewPoints,
+    Underflow,
 )
 
+import exact
 from conftest import brute_force_meb, random_rigid_motion
 
 
@@ -262,6 +267,50 @@ def welzl_meb(points):
     return center, radius, support
 
 
+def _reference_support_ball(pts):
+    """Circumcenter of affinely independent points within their affine hull,
+    its barycentric coefficients and an orthonormal basis of the hull's
+    directions, from a fresh QR and two solves."""
+    rel = pts[1:] - pts[0]
+    basis, tri = np.linalg.qr(rel.T)
+    half = np.linalg.solve(tri.T, 0.5 * np.einsum("ij,ij->i", rel, rel))
+    coef = np.linalg.solve(tri, half)
+    return pts[0] + basis @ half, np.concatenate(([1.0 - coef.sum()], coef)), basis
+
+
+def reference_walk(pts):
+    """The active-set walk with every step's circumcenter solved afresh.
+
+    This was ``enclosing._walk`` before the walk carried its factor across
+    steps; the tolerances and tie rules are the same.  Returns the center,
+    the support and the number of steps.
+    """
+    center = pts.mean(axis=0)
+    support = [int(np.argmax(np.einsum("ij,ij->i", pts - center, pts - center)))]
+    for steps in range(1, WALK_MAX_STEPS + 1):
+        target, coef, basis = _reference_support_ball(pts[support])
+        rel = pts - center
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+        r2 = float(dist2.max())
+        step = target - center
+        step -= basis @ (basis.T @ step)
+        step2 = float(step @ step)
+        if step2 > enclosing._IN_BALL_RTOL**2 * r2:
+            den = step2 - rel @ step
+            admit = den > enclosing._AFFINE_RTOL * math.sqrt(step2) * math.sqrt(r2)
+            t = np.divide(r2 - dist2, 2.0 * den, out=np.full(len(pts), np.inf), where=admit)
+            stop = int(np.argmin(t))
+            if t[stop] < 1.0:
+                center = center + t[stop] * step
+                support.append(stop)
+                continue
+        center = target
+        if coef.min() >= -enclosing._IN_BALL_RTOL:
+            return center, support, steps
+        support.pop(int(np.argmin(coef)))
+    raise AssertionError("reference walk did not converge")
+
+
 def assert_certified(pts, center, support):
     """The walk's stopping condition, checked without the solver's helpers.
 
@@ -286,8 +335,8 @@ def unit_rows(rng, count, n):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
-def shell_cloud(rng, count, n):
-    return unit_rows(rng, count, n) * rng.uniform(0.9, 1.0, size=(count, 1))
+def shell_cloud(rng, count, n, inner=0.9):
+    return unit_rows(rng, count, n) * rng.uniform(inner, 1.0, size=(count, 1))
 
 
 def circle_points(count):
@@ -391,6 +440,127 @@ class TestWalkAgainstWelzl:
         assert np.linalg.matrix_rank(rel) == len(support) - 1
 
 
+def assert_same_walk(monkeypatch, pts):
+    """The walk and ``reference_walk`` take the same steps to the same
+    support on ``pts``, and their centers agree within 1e-14 * diam.
+
+    The walk's step count is pinned through its cap: it converges within
+    the reference's count of steps and not within one step fewer.
+    """
+    rel = pts - pts[0]
+    want_center, want_support, want_steps = reference_walk(rel)
+    monkeypatch.setattr(enclosing, "WALK_MAX_STEPS", want_steps)
+    center, support = enclosing._walk(rel)
+    monkeypatch.setattr(enclosing, "WALK_MAX_STEPS", want_steps - 1)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        enclosing._walk(rel)
+    assert sorted(support) == sorted(want_support)
+    radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
+    diam = _set_diameter(rel, center, radius, support)
+    assert np.linalg.norm(center - want_center) <= 1e-14 * diam
+
+
+class TestWalkAgainstReference:
+    """The walk that carries its factor against the one that solves afresh."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_simplices(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            assert_same_walk(monkeypatch, random_simplex(rng, m, int(rng.integers(m, 11))).vertices)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    @pytest.mark.parametrize("kind", ["gauss", "shell-0.9", "shell-0.999"])
+    def test_clouds(self, monkeypatch, kind, n):
+        rng = np.random.default_rng(n)
+        for count in (2000, int(rng.integers(50, 500))):
+            if kind == "gauss":
+                pts = rng.normal(size=(count, n))
+            else:
+                pts = shell_cloud(rng, count, n, inner=float(kind.split("-")[1]))
+            assert_same_walk(monkeypatch, 3.0 * pts + rng.uniform(-5.0, 5.0, size=n))
+
+
+def near_hull_triangle():
+    """A triangle whose third vertex lies 1.02 * _AFFINE_RTOL * r off the line
+    through the other two, r its circumradius: the support takes all three."""
+    angle = 0.51 * enclosing._AFFINE_RTOL
+    return np.array([[-1.0, 0.0], [1.0, angle], [1.0, -angle]])
+
+
+STRESS_SETS = {
+    **DEGENERATE_SETS,
+    "lattice-sphere-4": lambda: lattice_sphere(4, 50),
+    "near-hull-triangle": near_hull_triangle,
+    "shell-0.999-10": lambda: shell_cloud(np.random.default_rng(10), 2000, 10, inner=0.999),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRESS_SETS))
+def test_factor_health(monkeypatch, name):
+    """After every append, in a walk step or in the rebuild after a drop,
+    Q has orthonormal rows and R^T Q reproduces the edge vectors, both to
+    64 * k * eps with k the support size, whatever the support's condition."""
+    append = enclosing._append
+    edges, rebuilds = [], []
+    eps = np.finfo(float).eps
+
+    def checked(qt, tri, tri_inv, j, edge):
+        append(qt, tri, tri_inv, j, edge)
+        if j < len(edges):
+            rebuilds.append(j)
+        del edges[j:]
+        edges.append(edge.copy())
+        tol = 64 * (j + 2) * eps
+        q, r, r_inv, e = qt[: j + 1], tri[: j + 1, : j + 1], tri_inv[: j + 1, : j + 1], np.array(edges)
+        assert np.abs(q @ q.T - np.eye(j + 1)).max() <= tol
+        assert np.linalg.norm(r.T @ q - e) <= tol * np.linalg.norm(e)
+        assert np.array_equal(np.triu(r), r) and np.array_equal(np.triu(r_inv), r_inv)
+        assert np.abs(r_inv @ r - np.eye(j + 1)).max() <= tol * np.linalg.norm(r_inv) * np.linalg.norm(r)
+
+    monkeypatch.setattr(enclosing, "_append", checked)
+    _, _, support = exact_meb_support(STRESS_SETS[name]())
+    if name == "near-hull-triangle":
+        assert support == (0, 1, 2)
+    if name == "shell-0.999-10":
+        assert rebuilds, "the thin shell drops support points"
+
+
+def assert_exact_certificate(pts):
+    """The returned support certifies the ball in exact arithmetic.
+
+    The support's exact circumcenter within its affine hull has barycentric
+    coefficients >= -_IN_BALL_RTOL, and no point lies farther from it than
+    (1 + _IN_BALL_RTOL) times the exact circumradius.
+    """
+    _, _, support = exact_meb_support(pts)
+    center, coef, radius2 = exact.circumcenter(pts[list(support)])
+    assert min(coef) >= -enclosing._IN_BALL_RTOL
+    farthest2 = max(exact.squared_distances(pts, center))
+    assert farthest2 <= (1 + Fraction(enclosing._IN_BALL_RTOL)) ** 2 * radius2
+
+
+class TestExactCertificate:
+    """The walk's ball checked in rational arithmetic, without floats."""
+
+    @pytest.mark.parametrize("seed", range(56))
+    def test_generic_sets(self, seed):
+        # N points spanning an m-flat in R^n, from m = n = 3, N = 4 to
+        # m = n = 10, N = 60.
+        rng = np.random.default_rng(seed)
+        m = 3 + seed % 8
+        n = int(rng.integers(m, 11))
+        q, shift = random_rigid_motion(rng, n)
+        flat = rng.normal(size=(int(rng.integers(m + 1, 61)), m))
+        assert_exact_certificate(np.hstack([flat, np.zeros((len(flat), n - m))]) @ q.T + shift)
+
+    @pytest.mark.parametrize("name", sorted(STRESS_SETS))
+    def test_degenerate_sets(self, name):
+        # The support need not be unique here; the certificate holds for the
+        # one returned.
+        assert_exact_certificate(STRESS_SETS[name]())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -485,6 +655,17 @@ class TestSetBarycentricCircumradius:
             for i in range(3)
         )
         assert value == want
+
+    def test_every_subset_too_small_to_measure(self):
+        # Each triangle's squared box diagonal underflows; the square's does not.
+        a = 5.85e-155
+        pts = [(-a, 0), (a, 0), (0, -a), (0, a)]
+        with pytest.raises(Underflow):
+            set_barycentric_circumradius(pts, 2)
+        with pytest.raises(Underflow):
+            blumenthal_wahlin_check(pts, 2)
+        _, radius = exact_meb(pts)
+        assert radius == pytest.approx(a, rel=1e-15)
 
     def test_overflow_is_not_skipped(self):
         with pytest.raises(OverflowError):

@@ -36,3 +36,34 @@ def test_readme_exit_codes_match_cli():
     documented = {int(cell) for cell in cells if cell.isdigit()}
     defined = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert documented == defined
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level private function, class or constant is used
+    somewhere in the package, so nothing dead outlives a refactor."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = []
+    for path, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            unreferenced += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in referenced
+            ]
+    assert not unreferenced, f"private definitions nothing references: {', '.join(unreferenced)}"
