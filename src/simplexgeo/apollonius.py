@@ -57,18 +57,19 @@ def radicands(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     squared edges of the face opposite vertex i.  A raw value negative
     beyond RADICAND_RTOL of its two terms raises NegativeRadicand; smaller
     negatives are rounding and are floored to zero in the first array.
-    Raises OverflowError when the squared edge lengths sum past the float
-    range.
+    Raises OverflowError when a raw radicand is not finite, as its sums
+    reach (m+1)^2 times the largest squared edge.
     """
     m = sq.shape[0] - 1
-    total = float(sq[~np.tri(m + 1, dtype=bool)].sum())
-    if total == math.inf:
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sq[~np.tri(m + 1, dtype=bool)].sum()
+        rows = sq.sum(axis=1)
+        star = m * rows
+        face = total - rows
+        raw = star - face
+        scale = np.maximum(star + face, 1e-300)
+    if not np.isfinite(raw).all():
         raise OverflowError("squared edge lengths overflow the float range")
-    rows = sq.sum(axis=1)
-    star = m * rows
-    face = total - rows
-    raw = star - face
-    scale = np.maximum(star + face, 1e-300)
     bad = np.flatnonzero(raw < -RADICAND_RTOL * scale)
     if bad.size:
         i = int(bad[0])

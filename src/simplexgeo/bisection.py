@@ -124,7 +124,8 @@ def _edge_error_bound(profile: EdgeProfile, m: int) -> float:
 
 
 def _evaluate(f: SystemFunction, vertex: np.ndarray) -> np.ndarray:
-    value = np.asarray(f.evaluate(vertex), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        value = np.asarray(f.evaluate(vertex), dtype=float)
     if value.shape != (f.dimension,) or not np.all(np.isfinite(value)):
         raise EvaluationFailure(
             f"{f.name} returned an invalid value at {vertex.tolist()}"
@@ -199,7 +200,9 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
         steps.append(_record(current, profile, depth, choice, diam0))
         converged = steps[-1].error_estimate <= tol
     approximation = barycenter(current)
-    residual = float(np.linalg.norm(_evaluate(f, approximation)))
+    value = _evaluate(f, approximation)
+    # norm's sum of squares overflows for components near 1e154, hypot does not.
+    residual = float(np.linalg.norm(value)) if abs(value).max() < 1e153 else math.hypot(*value)
     return BisectionTrace(
         steps=steps,
         final_approximation=approximation,
@@ -209,21 +212,15 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     )
 
 
-def _builtin(name: str, dimension: int, fn: Callable) -> SystemFunction:
-    return SystemFunction(dimension=dimension, evaluate=fn, name=name)
-
-
 BUILTIN_SYSTEMS = {
     sf.name: sf
     for sf in (
-        _builtin("linear-0.7", 1, lambda x: x - 0.7),
-        _builtin("shifted-identity-2d", 2, lambda x: x - 0.25),
-        _builtin("no-root-1d", 1, lambda x: x + 10.0),
-        _builtin("cubic-1d", 1, lambda x: x**3 - 0.4),
-        _builtin(
-            "circle-line-2d",
-            2,
-            lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 0.5, x[0] - x[1]]),
+        SystemFunction(1, lambda x: x - 0.7, "linear-0.7"),
+        SystemFunction(2, lambda x: x - 0.25, "shifted-identity-2d"),
+        SystemFunction(1, lambda x: x + 10.0, "no-root-1d"),
+        SystemFunction(1, lambda x: x**3 - 0.4, "cubic-1d"),
+        SystemFunction(
+            2, lambda x: np.array([x[0] ** 2 + x[1] ** 2 - 0.5, x[0] - x[1]]), "circle-line-2d"
         ),
     )
 }

@@ -120,11 +120,6 @@ def _render_list(obj) -> str:
 
 
 def _render_array(obj: np.ndarray) -> str:
-    # A float vector up to double width widens to Python floats in ``tolist``,
-    # so one finiteness test covers it; any other array, or one that fails the
-    # test, is walked element by element and raises at its first NaN or inf.
-    if obj.ndim == 1 and obj.dtype.char in "efd" and np.isfinite(obj).all():
-        return "[" + ",".join(map("{:.17g}".format, obj.tolist())) + "]"
     return _render(obj.tolist())
 
 
@@ -150,7 +145,7 @@ def _render_other(obj) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, np.ndarray):
-        return _render(obj.tolist())
+        return _render_array(obj)
     if isinstance(obj, dict):
         return _render_dict(obj)
     if isinstance(obj, (list, tuple)):

@@ -169,11 +169,11 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
         step -= (basis @ step) @ basis
         step2 = float(step @ step)
         if step2 > _IN_BALL_RTOL**2 * r2:
-            # At center + t * step, p is as far as the support when
-            # t = (r2 - dist2) / (2 * den); ties go to the lowest index.
+            # p is as far as the support at center + t * step, t = (r2 - dist2) / den / 2,
+            # halved last as 2 * den may overflow; ties go to the lowest index.
             den = step2 - rel @ step
             admit = den > _AFFINE_RTOL * math.sqrt(step2) * math.sqrt(r2)  # no overflow
-            t = np.divide(r2 - dist2, 2.0 * den, out=np.full(len(pts), np.inf), where=admit)
+            t = 0.5 * np.divide(r2 - dist2, den, out=np.full(len(pts), np.inf), where=admit)
             stop = int(np.argmin(t))
             if t[stop] < 1.0:
                 center = center + t[stop] * step
@@ -253,7 +253,13 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
     )
 
 
-def _check_subset_input(points, n: int) -> np.ndarray:
+def _largest_over_subsets(points, n: int, radius_of) -> float:
+    """Largest ``radius_of(subset)`` over the (n+1)-subsets of the points.
+
+    A subset on which ``radius_of`` raises Degenerate or Underflow (too small
+    to measure) is skipped; when no subset is left, raises Underflow if one
+    was skipped for that, and AllDegenerate otherwise.
+    """
     pts = _coerce_points(points)
     check_int("n", n, 1)
     if pts.shape[1] != n:
@@ -267,7 +273,19 @@ def _check_subset_input(points, n: int) -> np.ndarray:
             f"subset enumeration capped at {SUBSET_MAX_POINTS} points, "
             f"got {pts.shape[0]}"
         )
-    return pts
+    best, underflow = -1.0, None
+    for combo in itertools.combinations(range(pts.shape[0]), n + 1):
+        try:
+            best = max(best, radius_of(pts[list(combo)]))
+        except Degenerate:
+            continue
+        except Underflow as exc:
+            underflow = exc
+    if best < 0.0:
+        if underflow is not None:
+            raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
+        raise AllDegenerate("every (n+1)-subset failed the rank test")
+    return best
 
 
 def set_barycentric_circumradius(points, n: int) -> float:
@@ -275,26 +293,12 @@ def set_barycentric_circumradius(points, n: int) -> float:
 
     Enumerates every affinely independent (n+1)-subset of the points; the
     exact enclosing radius of the whole set never exceeds the result.  A
-    subset too small to measure is skipped; when no subset is left, raises
+    subset too small to measure is skipped; when none is left, raises
     Underflow if one was skipped for that, and AllDegenerate otherwise.
     """
-    pts = _check_subset_input(points, n)
-    best, underflow = -1.0, None
-    for combo in itertools.combinations(range(pts.shape[0]), n + 1):
-        try:
-            simplex = validate_simplex(pts[list(combo)])
-        except Degenerate:
-            continue
-        except Underflow as exc:  # too small to measure
-            underflow = exc
-            continue
-        radius, _ = barycentric_circumradius(simplex)
-        best = max(best, radius)
-    if best < 0.0:
-        if underflow is not None:
-            raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
-        raise AllDegenerate("every (n+1)-subset failed the rank test")
-    return best
+    return _largest_over_subsets(
+        points, n, lambda sub: barycentric_circumradius(validate_simplex(sub))[0]
+    )
 
 
 def blumenthal_wahlin_check(points, n: int) -> tuple[float, float]:
@@ -307,19 +311,8 @@ def blumenthal_wahlin_check(points, n: int) -> tuple[float, float]:
     every subset is skipped, raises Underflow rather than report 0.  The
     whole set keeps the range check.
     """
-    pts = _check_subset_input(points, n)
-    worst, underflow = -1.0, None
-    for combo in itertools.combinations(range(pts.shape[0]), n + 1):
-        try:
-            _, radius = exact_meb(pts[list(combo)])
-        except Underflow as exc:
-            underflow = exc
-            continue
-        worst = max(worst, radius)
-    if worst < 0.0:  # every subset underflowed
-        raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
-    _, full = exact_meb(pts)
-    return worst, full
+    worst = _largest_over_subsets(points, n, lambda sub: exact_meb(sub)[1])
+    return worst, exact_meb(points)[1]
 
 
 def fermat_sum_regular(s: Simplex) -> tuple[float, float]:

@@ -334,9 +334,11 @@ def test_ac12_cli_determinism(tmp_path, capsys):
         second = capsys.readouterr().out
         identical = identical and code_first == code_second == 0
         identical = identical and first == second and first != ""
-    command = [sys.executable, "-m", "simplexgeo.cli", "analyze", str(simplex_path)]
+    command = [sys.executable, "-W", "error::RuntimeWarning", "-m", "simplexgeo.cli",
+               "analyze", str(simplex_path)]
     runs = [subprocess.run(command, capture_output=True, check=True) for _ in range(2)]
     identical = identical and runs[0].stdout == runs[1].stdout
+    identical = identical and runs[0].stderr == runs[1].stderr == b""
     _verdict(
         "AC12 byte-identical reports for identical invocations",
         identical,

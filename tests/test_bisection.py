@@ -259,6 +259,19 @@ class TestSolve:
         with pytest.raises(EvaluationFailure):
             solve(bad, validate_simplex([[0.0], [1.0]]), 1e-6, 10)
 
+    def test_overflowing_value_fails_without_warning(self):
+        # x**3 overflows at 4e153; the suite turns numpy's warning into an error.
+        start = validate_simplex([[4.1e153], [-6.3e153]])
+        with pytest.raises(EvaluationFailure, match="cubic-1d returned an invalid value"):
+            solve(BUILTIN_SYSTEMS["cubic-1d"], start, 1e150, 10)
+
+    def test_residual_beyond_the_square_root_of_the_float_range(self):
+        # f(x) is near 1e165 at the final barycenter: finite, but its square is not.
+        start = validate_simplex([[-1.1926250032960653e55], [6.446401399467394e54]])
+        trace = solve(BUILTIN_SYSTEMS["cubic-1d"], start, 1e52, 100)
+        x = trace.final_approximation[0]
+        assert trace.residual_norm == abs(x**3 - 0.4) > 1e154
+
     def test_dimension_guard(self):
         flat = regular_simplex(2, 3, 1.0)
         with pytest.raises(DimensionMismatch):

@@ -6,7 +6,9 @@ across processes.
 """
 
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -15,6 +17,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from simplexgeo import (
     barycentric_circumradius,
@@ -36,6 +40,7 @@ from simplexgeo.cli import (
     main,
     render_json,
 )
+from simplexgeo.corpus import random_simplex
 from simplexgeo.enclosing import exact_meb_support
 
 from conftest import brute_force_meb, reference_render, translate_far, translation_cases
@@ -604,11 +609,14 @@ class TestDeterminism:
 
     def test_cross_process_bytes(self, tmp_path):
         path = write_simplex(tmp_path, "tri.json", [(0.7, 0.2), (2.1, 0.3), (0.4, 1.8)])
-        cmd = [sys.executable, "-m", "simplexgeo.cli", "analyze", str(path)]
+        # pytest's warning filter does not reach a child process; -W does.
+        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "simplexgeo.cli",
+               "analyze", str(path)]
         first = subprocess.run(cmd, capture_output=True, check=True)
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
+        assert first.stderr == second.stderr == b""
 
 
 def assert_clean_error(out, err):
@@ -619,6 +627,11 @@ def assert_clean_error(out, err):
 
 
 class TestArgumentErrors:
+    def test_help_exits_ok(self, capsys):
+        code, out, err = run_cli(["--help"], capsys)
+        assert code == EXIT_OK
+        assert out.startswith("usage: simplexgeo") and err == ""
+
     @pytest.mark.parametrize(
         "flags", [["--tol", "-1"], ["--tol", "nan"], ["--max-iter", "0"]]
     )
@@ -658,6 +671,21 @@ class TestNumericalFailure:
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
 
+    @pytest.mark.parametrize("m, diam, code", [(8, 1.5e153, EXIT_OK), (8, 2e153, EXIT_FAILURE),
+                                               (7, 2e153, EXIT_FAILURE), (6, 2e153, EXIT_OK)])
+    def test_regular_radicand_sums_near_the_top(self, capsys, m, diam, code):
+        # The radicand sums reach (m+1)^2 times the squared edge; any overflow
+        # there is one error line, never a numpy warning.
+        code_got, out, err = run_cli(["regular", "--m", str(m), "--n", "8", "--diam", repr(diam)],
+                                     capsys)
+        assert code_got == code
+        if code == EXIT_OK:
+            assert err == ""
+            parse_envelope(out)
+        else:
+            assert_clean_error(out, err)
+            assert err == "error: squared edge lengths overflow the float range\n"
+
     def test_regular_underflow(self, capsys):
         code, out, err = run_cli(["regular", "--m", "2", "--n", "2", "--diam", "1e-160"], capsys)
         assert code == EXIT_FAILURE
@@ -674,6 +702,18 @@ class TestNumericalFailure:
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_enclose_walk_denominator_near_the_top(self, tmp_path, capsys):
+        # Twice the walk's step denominator overflows here; the quotient does not.
+        points = [(7.500949139684629e153, -7.324940292523361e153),
+                  (-5.114799287098931e153, -2.983831498085747e153),
+                  (6.420621366530418e153, -7.200251320971025e153)]
+        code, out, err = run_cli(["enclose", str(write_points(tmp_path, "big.json", points))],
+                                 capsys)
+        assert (code, err) == (EXIT_OK, "")
+        meb = parse_envelope(out)["payload"]["meb"]
+        assert meb["support"] == [0, 1]
+        assert meb["radius"] == pytest.approx(math.dist(*points[:2]) / 2, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-160])
     def test_enclose_underflow(self, tmp_path, capsys, scale):
@@ -817,6 +857,67 @@ def test_hostile_document(tmp_path, capsys, command, name):
         assert err == ""
     elif code != EXIT_MAX_ITER:
         assert_clean_error(out, err)
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Scale exponents k of 10^k across the range that core.check_range admits,
+# drawn mostly at its two ends, where the squared sums over- and underflow.
+RANGE_EXPONENTS = st.one_of(
+    st.integers(150, 154), st.integers(-154, -150), st.integers(-154, 154)
+)
+
+
+@st.composite
+def range_invocations(draw):
+    """(argv, document or None) for one command on seeded input scaled by 10^k."""
+    command = draw(st.sampled_from(["analyze", "enclose", "enclose-subsets", "regular", "solve"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(RANGE_EXPONENTS)
+    if command == "analyze":
+        m = int(rng.integers(1, 9))
+        vertices = random_simplex(rng, m, m + int(rng.integers(0, 3))).vertices
+        return ["analyze"], {"vertices": (vertices * scale).tolist()}
+    if command.startswith("enclose"):
+        n = int(rng.integers(1, 5))
+        subsets = command == "enclose-subsets"  # at most C(8, 5) = 56 subsets
+        count = int(rng.integers(n + 1, 9 if subsets else 40))
+        flags = ["--variant-jung", "--bw-check"] if subsets else []
+        return ["enclose", *flags], {"points": (rng.normal(size=(count, n)) * scale).tolist()}
+    if command == "regular":
+        m = int(rng.integers(1, 9))
+        diam = float(rng.uniform(1.0, 10.0)) * scale
+        return ["regular", "--m", str(m), "--n", str(m + int(rng.integers(0, 3))),
+                "--diam", repr(diam)], None
+    name = draw(st.sampled_from(sorted(bisection.BUILTIN_SYSTEMS)))
+    dim = bisection.BUILTIN_SYSTEMS[name].dimension
+    vertices = random_simplex(rng, dim, dim).vertices * scale
+    tol = scale * 10.0 ** -float(rng.uniform(0.0, 12.0))
+    return ["solve", name, "--tol", repr(tol), "--max-iter", "60"], {"vertices": vertices.tolist()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(range_invocations())
+def test_range_fuzz(tmp_path_factory, invocation):
+    """Seeded input across the float range gets a documented exit code, one
+    envelope or none on stdout, and an ``error:`` line or nothing on stderr;
+    pytest turns a numpy warning into a failure."""
+    argv, document = invocation
+    if document is not None:
+        path = tmp_path_factory.mktemp("range") / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = [*argv, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in {EXIT_OK, EXIT_FAILURE, EXIT_PARSE, EXIT_DEGENERATE, EXIT_CAP,
+                    EXIT_MAX_ITER, EXIT_NO_SIGN, EXIT_UNKNOWN_FUNCTION}
+    if out:
+        parse_envelope(out)
+    if code == EXIT_OK:
+        assert out and err == ""
+    else:
+        assert out == "" or code == EXIT_MAX_ITER
         assert err.startswith("error:") and err.count("\n") == 1
 
 

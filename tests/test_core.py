@@ -23,6 +23,7 @@ from simplexgeo.errors import (
     IndexOutOfRange,
     InvalidDimension,
     InvalidPoint,
+    NotFullDimensional,
     NotRegular,
     TooFewPoints,
     Underflow,
@@ -56,6 +57,10 @@ class TestValidate:
     def test_nonfinite(self):
         with pytest.raises(InvalidPoint):
             validate_simplex([(0, 0), (np.nan, 1), (1, 0)])
+
+    def test_empty_point(self):
+        with pytest.raises(InvalidPoint, match="non-empty"):
+            validate_simplex([(), ()])
 
     def test_difference_overflow(self):
         # The suite turns numpy's overflow warning into an error, so this
@@ -214,6 +219,10 @@ class TestVolume:
     def test_unit_tetrahedron(self):
         s = validate_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert volume(s) == pytest.approx(1 / 6)
+
+    def test_needs_full_dimension(self):
+        with pytest.raises(NotFullDimensional, match="m=2, n=3"):
+            volume(validate_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
 
 
 @st.composite

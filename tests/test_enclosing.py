@@ -671,15 +671,31 @@ class TestSetBarycentricCircumradius:
         with pytest.raises(OverflowError):
             set_barycentric_circumradius([(0, 0), (1, 0), (0, 1), (1e200, 1e200)], 2)
 
-    def test_guards(self):
+    @pytest.mark.parametrize(
+        "subset_bound", [set_barycentric_circumradius, blumenthal_wahlin_check],
+        ids=lambda f: f.__name__,
+    )
+    def test_guards(self, subset_bound):
+        # Both subset bounds share one enumeration and its input checks.
         with pytest.raises(TooFewPoints):
-            set_barycentric_circumradius([(0, 0), (1, 0)], 2)
+            subset_bound([(0, 0), (1, 0)], 2)
         with pytest.raises(CapExceeded):
-            set_barycentric_circumradius(np.random.default_rng(1).uniform(size=(16, 2)), 2)
+            subset_bound(np.random.default_rng(1).uniform(size=(16, 2)), 2)
         with pytest.raises(DimensionMismatch):
-            set_barycentric_circumradius([(0, 0), (1, 0), (0, 1)], 3)
+            subset_bound([(0, 0), (1, 0), (0, 1)], 3)
+
+    def test_all_degenerate(self):
         with pytest.raises(AllDegenerate):
             set_barycentric_circumradius([(0, 0), (1, 1), (2, 2), (3, 3)], 2)
+
+    def test_ball_cap_applies_to_exact_radii_only(self):
+        # 12 points in R^11 form one subset: the barycentric circumradius
+        # needs edge lengths alone, the exact ball exceeds MEB_MAX_DIM.
+        pts = np.random.default_rng(11).uniform(-1, 1, size=(12, 11))
+        want, _ = barycentric_circumradius(validate_simplex(pts))
+        assert set_barycentric_circumradius(pts, 11) == want
+        with pytest.raises(CapExceeded):
+            blumenthal_wahlin_check(pts, 11)
 
 
 class TestBlumenthalWahlin:

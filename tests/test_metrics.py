@@ -25,6 +25,7 @@ from simplexgeo import (
     thickness,
     validate_simplex,
 )
+from simplexgeo import metrics
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     DimensionMismatch,
@@ -128,6 +129,17 @@ class TestBarycentricInradius:
         value, argmin = barycentric_inradius_estimate(corner_triangle())
         assert value == pytest.approx(math.sqrt(2) / 3, abs=1e-14)
         assert argmin == 0
+
+    def test_estimate_routes_must_agree(self, monkeypatch):
+        # Radicands off by a factor 4 at face 1 fail the coordinate cross-check.
+        def skewed(sq, radicands=metrics.radicands):
+            floored, raw = radicands(sq)
+            floored[1] *= 4.0
+            return floored, raw
+
+        monkeypatch.setattr(metrics, "radicands", skewed)
+        with pytest.raises(ArithmeticError, match="routes disagree at face 1"):
+            barycentric_inradius_estimate(corner_triangle())
 
 
 class TestThickness:
