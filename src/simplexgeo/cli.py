@@ -18,8 +18,9 @@ a failed self-check, a singular system), 2 parse or argument error,
 3 degenerate input, 4 enumeration cap exceeded, 5 iteration budget
 exhausted, 6 no child satisfied the sign criterion, 7 unknown system
 function.  Every failure prints from that table: one ``error:`` line on
-stderr instead of a traceback.  Code 5 alone is returned, not raised,
-because its envelope still prints.
+stderr instead of a traceback; so does a warning that the interpreter's
+warning filter turns into an error, with code 1.  Code 5 alone is
+returned, not raised, because its envelope still prints.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ _EXIT_CODES = (
     (CapExceeded, EXIT_CAP),
     (NoSignCriterion, EXIT_NO_SIGN),
     (UnknownFunction, EXIT_UNKNOWN_FUNCTION),
-    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError), EXIT_FAILURE),
+    # A warning raises only when the interpreter's warning filter escalates it.
+    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError, Warning), EXIT_FAILURE),
 )
 
 
@@ -211,20 +213,36 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# The diameter scan takes the kept pairs in blocks of _PAIR_ROWS points
+# against up to _PAIR_BLOCK / (_PAIR_ROWS n) others: at most 2^16 floats of
+# differences, 512 KB, for n <= 4096, whatever the number of points.
+_PAIR_BLOCK = 1 << 16
+_PAIR_ROWS = 16
+
+
 def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float, support: tuple) -> float:
     # |p - q| <= |p - center| + radius, so a pair longer than every pair through
     # a support point has both ends where that sum reaches its length.  Every
     # support point is on the sphere, so the bound takes them all rather than
-    # the one that rounding puts farthest from the center.
+    # the one that rounding puts farthest from the center.  Every pair length,
+    # here and in the scan below, is the same sum along a row, so the result is
+    # one of them bit for bit.
     def farthest2(rows: np.ndarray, point: np.ndarray) -> float:
         gaps = rows - point
         return float(np.max(np.einsum("ij,ij->i", gaps, gaps)))
 
     best = max(farthest2(pts, pts[i]) for i in support)
-    dist = np.linalg.norm(pts - center, axis=1)
+    gaps = np.ascontiguousarray(pts.T) - center[:, None]
+    dist = np.sqrt(np.einsum("ij,ij->j", gaps, gaps))
     kept = pts[dist + radius >= math.sqrt(best) * (1.0 - 1e-9)]
-    for row in range(kept.shape[0] - 1):
-        best = max(best, farthest2(kept[row + 1 :], kept[row]))
+    # A block also takes some pairs reversed, whose differences are exactly negated.
+    count, n = kept.shape
+    width = max(1, _PAIR_BLOCK // (_PAIR_ROWS * n))
+    for low in range(0, count, _PAIR_ROWS):
+        rows = kept[low : low + _PAIR_ROWS, None]
+        for start in range(low + 1, count, width):
+            diffs = rows - kept[start : start + width]
+            best = max(best, float(np.einsum("ijk,ijk->ij", diffs, diffs).max()))
     return math.sqrt(best)
 
 

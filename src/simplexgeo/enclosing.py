@@ -93,7 +93,7 @@ def jung_bound(diam: float, n: int) -> float:
 
 def _coerce_points(points) -> np.ndarray:
     try:
-        pts = np.asarray(points, dtype=float)
+        pts = np.asarray(points, dtype=float, order="C")
     except ValueError as exc:  # ragged rows
         raise DimensionMismatch("points must share one coordinate dimension") from exc
     if pts.shape[:1] == (0,):
@@ -148,21 +148,24 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
     onto the hull's directions: no step factorises or solves.  A joining
     point is appended in O(k n), k <= 11 the support size; a drop rebuilds
     the factor by appending the points that remain, in O(k^2 n).  The
-    O(N n) pass over the points dominates a step.
+    O(N n) pass over the points dominates a step; it runs on an (n, N) copy
+    of ``pts``, along memory.
     """
     count, n = pts.shape
+    cols = np.ascontiguousarray(pts.T)  # no copy for a transposed view
     dim = min(n, count - 1)
     qt, tri, tri_inv = np.zeros((dim, n)), np.zeros((dim, dim)), np.zeros((dim, dim))
-    center = pts.mean(axis=0)
-    support = [int(np.argmax(np.einsum("ij,ij->i", pts - center, pts - center)))]
+    center = cols.mean(axis=1)
+    rel = cols - center[:, None]
+    support = [int(np.argmax(np.einsum("ij,ij->j", rel, rel)))]
     for _ in range(WALK_MAX_STEPS):
         edges = len(support) - 1
         basis, inv = qt[:edges], tri_inv[:edges, :edges]
         half = 0.5 * np.einsum("ij,ij->j", tri[:edges, :edges], tri[:edges, :edges])
         coords = half @ inv  # the circumcenter's, along Q
-        target = pts[support[0]] + coords @ basis
-        rel = pts - center
-        dist2 = np.einsum("ij,ij->i", rel, rel)
+        target = cols[:, support[0]] + coords @ basis
+        rel = cols - center[:, None]
+        dist2 = np.einsum("ij,ij->j", rel, rel)
         r2 = float(dist2.max())
         step = target - center
         # Remove rounding along the hull, so points of the hull cannot stop the walk.
@@ -171,13 +174,13 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
         if step2 > _IN_BALL_RTOL**2 * r2:
             # p is as far as the support at center + t * step, t = (r2 - dist2) / den / 2,
             # halved last as 2 * den may overflow; ties go to the lowest index.
-            den = step2 - rel @ step
+            den = step2 - step @ rel
             admit = den > _AFFINE_RTOL * math.sqrt(step2) * math.sqrt(r2)  # no overflow
-            t = 0.5 * np.divide(r2 - dist2, den, out=np.full(len(pts), np.inf), where=admit)
+            t = 0.5 * np.divide(r2 - dist2, den, out=np.full(count, np.inf), where=admit)
             stop = int(np.argmin(t))
             if t[stop] < 1.0:
                 center = center + t[stop] * step
-                _append(qt, tri, tri_inv, edges, pts[stop] - pts[support[0]])
+                _append(qt, tri, tri_inv, edges, cols[:, stop] - cols[:, support[0]])
                 support.append(stop)
                 continue
         center = target
@@ -187,7 +190,7 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
             return center, support
         support.pop(int(np.argmin(coef)))
         for j, idx in enumerate(support[1:]):
-            _append(qt, tri, tri_inv, j, pts[idx] - pts[support[0]])
+            _append(qt, tri, tri_inv, j, cols[:, idx] - cols[:, support[0]])
     raise ArithmeticError(f"exact ball walk did not converge in {WALK_MAX_STEPS} steps")
 
 
@@ -198,7 +201,8 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     ``core.check_range``.
     """
     pts = _coerce_points(points)
-    check_range(pts)
+    cols = np.ascontiguousarray(pts.T)
+    check_range(cols.T)  # its reductions then run along memory
     count, n = pts.shape
     # The walk stays in the affine hull of its support, so the cap counts
     # the dimension that hull can reach, not the ambient one.
@@ -209,9 +213,11 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
         raise CapExceeded(
             f"exact ball supports <= {MEB_MAX_POINTS} points, got {count}"
         )
+    center, support = _walk((cols - cols[:, :1]).T)
+    # Cover every point exactly; the inflation is at rounding scale.  Summed
+    # along rows: a sum across the rows of the (n, N) copy rounds differently
+    # from n = 8 on, and would move the printed radius.
     rel = pts - pts[0]
-    center, support = _walk(rel)
-    # Cover every point exactly; the inflation is at rounding scale.
     radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
     return pts[0] + center, radius, tuple(sorted(support))
 

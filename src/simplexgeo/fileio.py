@@ -38,12 +38,13 @@ def _coordinate_rows(text: str, key: str) -> np.ndarray:
         raise ParseError("every entry must be a non-empty coordinate list")
     if len(set(map(len, rows))) != 1:
         raise ParseError("coordinate lists must share one length")
+    flat = list(itertools.chain.from_iterable(rows))
     # bool is its own type, so true/false fail here too.
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-        bad = next(x for row in rows for x in row if type(x) not in (int, float))
+    if not set(map(type, flat)) <= {int, float}:
+        bad = next(x for x in flat if type(x) not in (int, float))
         raise ParseError(f"coordinate {bad!r} is not a number")
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.array(flat, dtype=float).reshape(len(rows), -1)
     except OverflowError as exc:  # an integer beyond the float range
         raise ParseError("coordinates must be finite") from exc
     if not np.all(np.isfinite(arr)):

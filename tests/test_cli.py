@@ -375,10 +375,13 @@ def all_pairs_diameter(pts):
     return math.sqrt(best)
 
 
-def shell_cloud(rng, count, n):
+def unit_sphere(rng, count, n):
     pts = rng.normal(size=(count, n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts * rng.uniform(0.9, 1.0, size=(count, 1))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def shell_cloud(rng, count, n):
+    return unit_sphere(rng, count, n) * rng.uniform(0.9, 1.0, size=(count, 1))
 
 
 class TestSetDiameter:
@@ -393,13 +396,14 @@ class TestSetDiameter:
             shell_cloud(np.random.default_rng(4), 1500, 2),
             shell_cloud(np.random.default_rng(5), 600, 5),
             circle(2000),  # nothing is pruned: any point may end a longest pair
+            unit_sphere(np.random.default_rng(8), 1500, 10),  # nothing pruned, many blocks
             np.repeat(np.random.default_rng(6).normal(size=(40, 3)), 5, axis=0),
             np.full((50, 2), 1.25),
             np.outer(np.random.default_rng(7).uniform(-4, 9, size=300), [1.0, -2.0, 0.5]),
             np.array([[0.0, 1.0], [3.0, 5.0]]),
         ],
         ids=["gauss-2", "gauss-5-offset", "gauss-10", "shell-2", "shell-5",
-             "circle-2000", "duplicates", "one-point-repeated", "collinear", "two-points"],
+             "circle-2000", "sphere-10", "duplicates", "one-point-repeated", "collinear", "two-points"],
     )
     def test_matches_all_pairs(self, pts):
         center, radius, support = exact_meb_support(pts)
@@ -692,6 +696,14 @@ class TestNumericalFailure:
         assert_clean_error(out, err)
         assert err.startswith("error:") and err.count("\n") == 1
         assert "underflow" in err
+
+    def test_escalated_warning(self, tmp_path, capsys):
+        # The incenter's condition-number warning, raised by pytest's filter.
+        path = write_simplex(tmp_path, "thin.json", [(0, 0), (1, 0), (0, 3e-9)])
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err == "error: edge factor condition number 3.333e+08 exceeds 1e8\n"
 
     def test_enclose_overflow(self, tmp_path, capsys):
         path = write_points(tmp_path, "big.json", [(1e200, 0), (0, 1e200), (0, 0)])

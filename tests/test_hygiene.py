@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,21 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_imports_only_stdlib_and_numpy(path):
+    """The only runtime dependency is numpy."""
+    allowed = sys.stdlib_module_names | {"numpy", PACKAGE.name}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module)
+    foreign = sorted(name for name in imported if name.split(".")[0] not in allowed)
+    assert not foreign, f"{path.name} imports beyond the stdlib and numpy: {', '.join(foreign)}"
 
 
 def test_readme_exit_codes_match_cli():
