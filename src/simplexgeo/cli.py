@@ -18,9 +18,11 @@ a failed self-check, a singular system), 2 parse or argument error,
 3 degenerate input, 4 enumeration cap exceeded, 5 iteration budget
 exhausted, 6 no child satisfied the sign criterion, 7 unknown system
 function.  Every failure prints from that table: one ``error:`` line on
-stderr instead of a traceback; so does a warning that the interpreter's
-warning filter turns into an error, with code 1.  Code 5 alone is
-returned, not raised, because its envelope still prints.
+stderr instead of a traceback; so does the package's own
+``IllConditioned`` warning, with code 1, when the interpreter's warning
+filter turns it into an error.  Any other warning so raised, numpy's
+included, propagates.  Code 5 alone is returned, not raised, because its
+envelope still prints.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .errors import (
     CapExceeded,
     Degenerate,
     DimensionMismatch,
+    IllConditioned,
     IndexOutOfRange,
     InvalidDimension,
     InvalidPoint,
@@ -74,8 +77,8 @@ _EXIT_CODES = (
     (CapExceeded, EXIT_CAP),
     (NoSignCriterion, EXIT_NO_SIGN),
     (UnknownFunction, EXIT_UNKNOWN_FUNCTION),
-    # A warning raises only when the interpreter's warning filter escalates it.
-    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError, Warning), EXIT_FAILURE),
+    # IllConditioned, a warning, raises only when the warning filter escalates it.
+    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError, IllConditioned), EXIT_FAILURE),
 )
 
 
@@ -213,10 +216,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# The diameter scan takes the kept pairs in blocks of _PAIR_ROWS points
-# against up to _PAIR_BLOCK / (_PAIR_ROWS n) others: at most 2^16 floats of
-# differences, 512 KB, for n <= 4096, whatever the number of points.
-_PAIR_BLOCK = 1 << 16
+# The diameter scan takes the kept points in blocks of _PAIR_ROWS against
+# every later one: at most 16 K n floats of differences for K kept points,
+# 12.8 MB at the exact ball's caps of 10^4 points in R^10.
 _PAIR_ROWS = 16
 
 
@@ -232,17 +234,13 @@ def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float, support: t
         return float(np.max(np.einsum("ij,ij->i", gaps, gaps)))
 
     best = max(farthest2(pts, pts[i]) for i in support)
-    gaps = np.ascontiguousarray(pts.T) - center[:, None]
-    dist = np.sqrt(np.einsum("ij,ij->j", gaps, gaps))
+    gaps = pts - center
+    dist = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
     kept = pts[dist + radius >= math.sqrt(best) * (1.0 - 1e-9)]
     # A block also takes some pairs reversed, whose differences are exactly negated.
-    count, n = kept.shape
-    width = max(1, _PAIR_BLOCK // (_PAIR_ROWS * n))
-    for low in range(0, count, _PAIR_ROWS):
-        rows = kept[low : low + _PAIR_ROWS, None]
-        for start in range(low + 1, count, width):
-            diffs = rows - kept[start : start + width]
-            best = max(best, float(np.einsum("ijk,ijk->ij", diffs, diffs).max()))
+    for low in range(0, kept.shape[0] - 1, _PAIR_ROWS):
+        diffs = kept[low : low + _PAIR_ROWS, None] - kept[low + 1 :]
+        best = max(best, float(np.einsum("ijk,ijk->ij", diffs, diffs).max()))
     return math.sqrt(best)
 
 

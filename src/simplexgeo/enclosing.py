@@ -127,19 +127,20 @@ def _append(qt: np.ndarray, tri: np.ndarray, tri_inv: np.ndarray, j: int, edge: 
     tri_inv[j, j] = 1.0 / norm
 
 
-def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
+def _walk(cols: np.ndarray) -> tuple[np.ndarray, list]:
     """Center and support of the minimum enclosing ball, by the active-set
     walk of Fischer, Gaertner and Kutz (ESA 2003).
 
-    The ball about ``center`` through the support points covers every
-    point.  The center moves toward the support's circumcenter until a
-    point reaches the sphere and joins the support; at the circumcenter,
-    the support point with the most negative coefficient is dropped.  The
-    walk stops at a circumcenter with no negative coefficient: the center
-    then lies in the support's hull, which certifies the ball.  No point
-    then lies farther than (1 + _IN_BALL_RTOL) R from the support's
-    circumcenter, R its circumradius, up to the rounding of the computed
-    circumcenter.
+    ``cols`` holds the points as columns, (n, N), so that the O(N n) pass
+    over the points, which dominates a step, runs along memory.  The ball
+    about ``center`` through the support points covers every point.  The
+    center moves toward the support's circumcenter until a point reaches
+    the sphere and joins the support; at the circumcenter, the support
+    point with the most negative coefficient is dropped.  The walk stops
+    at a circumcenter with no negative coefficient: the center then lies
+    in the support's hull, which certifies the ball.  No point then lies
+    farther than (1 + _IN_BALL_RTOL) R from the support's circumcenter, R
+    its circumradius, up to the rounding of the computed circumcenter.
 
     The walk carries a thin QR factor ``Q R`` of the support's edge vectors
     ``p_j - p_0``, and ``R^-1``, across steps.  As ``|p_j - p_0|^2 =
@@ -147,12 +148,9 @@ def _walk(pts: np.ndarray) -> tuple[np.ndarray, list]:
     coefficients on the edges are ``R^-1 R^-T b``, and ``Q Q^T`` projects
     onto the hull's directions: no step factorises or solves.  A joining
     point is appended in O(k n), k <= 11 the support size; a drop rebuilds
-    the factor by appending the points that remain, in O(k^2 n).  The
-    O(N n) pass over the points dominates a step; it runs on an (n, N) copy
-    of ``pts``, along memory.
+    the factor by appending the points that remain, in O(k^2 n).
     """
-    count, n = pts.shape
-    cols = np.ascontiguousarray(pts.T)  # no copy for a transposed view
+    n, count = cols.shape
     dim = min(n, count - 1)
     qt, tri, tri_inv = np.zeros((dim, n)), np.zeros((dim, dim)), np.zeros((dim, dim))
     center = cols.mean(axis=1)
@@ -213,7 +211,7 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
         raise CapExceeded(
             f"exact ball supports <= {MEB_MAX_POINTS} points, got {count}"
         )
-    center, support = _walk((cols - cols[:, :1]).T)
+    center, support = _walk(cols - cols[:, :1])
     # Cover every point exactly; the inflation is at rounding scale.  Summed
     # along rows: a sum across the rows of the (n, N) copy rounds differently
     # from n = 8 on, and would move the printed radius.

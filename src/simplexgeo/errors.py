@@ -71,3 +71,11 @@ class ParseError(SimplexError):
 
 class UnknownFunction(SimplexError):
     """A named system function is not among the built-in ones."""
+
+
+class IllConditioned(RuntimeWarning):
+    """A result was computed from an ill-conditioned factor.
+
+    A warning, not an error: the result is returned.  ``cli.main`` exits 1
+    only when the interpreter's warning filter raises it.
+    """

@@ -33,7 +33,7 @@ from .core import (
     validate_simplex,
 )
 from .enclosing import exact_meb, jung_bound
-from .errors import DimensionMismatch, NotFullDimensional
+from .errors import DimensionMismatch, IllConditioned, NotFullDimensional
 
 # Condition number of the edge factor above which the incenter is flagged.
 _INCENTER_COND_LIMIT = 1e8
@@ -192,7 +192,7 @@ def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
     The inradius is r = 1 / sum 1/h_i, and the incenter is the average of
     the vertices weighted by 1/h_i, which is proportional to the area of
     the opposite facet.  An edge-factor condition number beyond 1e8
-    triggers a warning but not a failure.
+    triggers an ``errors.IllConditioned`` warning but not a failure.
     """
     if s.m != s.n:
         raise NotFullDimensional(
@@ -202,7 +202,7 @@ def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
     if cond > _INCENTER_COND_LIMIT:
         warnings.warn(
             f"edge factor condition number {cond:.3e} exceeds 1e8",
-            RuntimeWarning,
+            IllConditioned,
             stacklevel=2,
         )
     radius = 1.0 / float(inv_h.sum())

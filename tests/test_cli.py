@@ -705,6 +705,17 @@ class TestNumericalFailure:
         assert_clean_error(out, err)
         assert err == "error: edge factor condition number 3.333e+08 exceeds 1e8\n"
 
+    def test_numpy_warning_propagates(self, tmp_path, monkeypatch):
+        # Only the package's own warning maps to exit 1, so a numpy warning
+        # escalated inside a command still fails the caller's filter.
+        def overflow(points):
+            return np.exp(np.float64(1000.0))
+
+        monkeypatch.setattr(enclosing, "exact_meb_support", overflow)
+        path = write_points(tmp_path, "tri.json", [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(RuntimeWarning, match="overflow encountered in exp"):
+            main(["enclose", str(path)])
+
     def test_enclose_overflow(self, tmp_path, capsys):
         path = write_points(tmp_path, "big.json", [(1e200, 0), (0, 1e200), (0, 0)])
         # The overflow is caught before the search, so numpy warns nothing.

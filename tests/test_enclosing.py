@@ -466,10 +466,11 @@ def assert_same_walk(monkeypatch, pts):
     rel = pts - pts[0]
     want_center, want_support, want_steps = reference_walk(rel)
     monkeypatch.setattr(enclosing, "WALK_MAX_STEPS", want_steps)
-    center, support = enclosing._walk(rel)
+    cols = np.ascontiguousarray(rel.T)  # the walk takes the points as columns
+    center, support = enclosing._walk(cols)
     monkeypatch.setattr(enclosing, "WALK_MAX_STEPS", want_steps - 1)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        enclosing._walk(rel)
+        enclosing._walk(cols)
     assert sorted(support) == sorted(want_support)
     radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
     diam = _set_diameter(rel, center, radius, support)
