@@ -71,24 +71,21 @@ def bisect(s: Simplex) -> tuple[Simplex, Simplex]:
     every other vertex keeps its position, so the two children share
     the splitting facet and partition the parent.
     """
-    lower, upper = _split(s.vertices, edge_profile(s).diam_edge)
+    pair = _children(s.vertices, edge_profile(s).diam_edge)
     # Children of a valid simplex stay affinely independent (one row of
     # the difference matrix is halved, and the rank test is relative), so
     # the ingestion gate is not re-run: it would cost an SVD per child.
-    return Simplex(lower), Simplex(upper)
+    return Simplex(pair[0]), Simplex(pair[1])
 
 
-def _split(rows: np.ndarray, edge: tuple, new_row=None) -> tuple[np.ndarray, np.ndarray]:
-    """Split rule for vertices and carried values: with edge (i, j) the lower
-    child replaces row i and the upper row j by ``new_row`` (default: the
-    midpoint of rows i and j)."""
+def _children(rows: np.ndarray, edge: tuple) -> np.ndarray:
+    """Both children of the split rule stacked as a (2, m+1, n) array: with
+    edge (i, j), the lower child [0] replaces row i and the upper child [1]
+    row j by the midpoint of rows i and j."""
     i, j = edge
-    if new_row is None:
-        new_row = 0.5 * (rows[i] + rows[j])
-    lower, upper = np.array(rows), np.array(rows)
-    lower[i] = new_row
-    upper[j] = new_row
-    return lower, upper
+    pair = np.array((rows, rows))
+    pair[0, i] = pair[1, j] = 0.5 * (rows[i] + rows[j])
+    return pair
 
 
 def kearfott_bound(p: int, m: int, diam0: float) -> float:
@@ -100,6 +97,10 @@ def kearfott_bound(p: int, m: int, diam0: float) -> float:
     check_int("p", p, 0)
     check_int("m", m, 1)
     check_positive("diam0", diam0)
+    return _kearfott(p, m, diam0)
+
+
+def _kearfott(p: int, m: int, diam0: float) -> float:
     return _HALF_ROOT3 ** (p // m) * diam0
 
 
@@ -126,19 +127,11 @@ def _edge_error_bound(profile: EdgeProfile, m: int) -> float:
 def _evaluate(f: SystemFunction, vertex: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
         value = np.asarray(f.evaluate(vertex), dtype=float)
-    if value.shape != (f.dimension,) or not np.all(np.isfinite(value)):
+    if value.shape != (f.dimension,) or not np.isfinite(value).all():
         raise EvaluationFailure(
             f"{f.name} returned an invalid value at {vertex.tolist()}"
         )
     return value
-
-
-def _admissible(values: np.ndarray) -> bool:
-    """Sign test: every component must take both signs over the vertices."""
-    zero = _SIGN_ZERO_RTOL * (1.0 + float(np.abs(values).max()))
-    has_low = (values <= zero).any(axis=0)
-    has_high = (values >= -zero).any(axis=0)
-    return bool((has_low & has_high).all())
 
 
 def _record(
@@ -150,7 +143,7 @@ def _record(
         diam=profile.diam,
         shor=profile.shor,
         error_estimate=_edge_error_bound(profile, s.m),
-        kearfott_bound=kearfott_bound(depth, s.m, diam0),
+        kearfott_bound=_kearfott(depth, s.m, diam0),
         barycenter=barycenter(s),
     )
 
@@ -164,9 +157,10 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     qualify the one with the smaller worst-vertex residual wins, with the
     lower child breaking ties.  Iteration stops once the barycenter error
     bound drops to ``tol``; if neither child qualifies, NoSignCriterion
-    is raised rather than guessing.  The split is ``bisect``'s rule applied
-    to the profile already held, and the vertex values are carried through
-    the same rule, so each step profiles one simplex and evaluates f once.
+    is raised rather than guessing.  Each step evaluates f once, at the
+    midpoint; both children and their vertex values are split by
+    ``bisect``'s rule into stacked arrays, one min and max pass over those
+    values decides both children, and only the kept child is profiled.
     """
     if s0.m != s0.n or s0.n != f.dimension:
         raise DimensionMismatch(
@@ -183,21 +177,28 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     converged = steps[-1].error_estimate <= tol
     depth = 0
     while not converged and depth < max_iter:
-        edge = profile.diam_edge
-        lower, upper = _split(current.vertices, edge)
-        lower_values, upper_values = _split(values, edge, _evaluate(f, lower[edge[0]]))
-        children = (("lower", lower, lower_values), ("upper", upper, upper_values))
-        candidates = [child for child in children if _admissible(child[2])]
-        if not candidates:
+        i, j = profile.diam_edge
+        pair = _children(current.vertices, (i, j))
+        pair_values = np.array((values, values))
+        pair_values[0, i] = pair_values[1, j] = _evaluate(f, pair[0, i])
+        # For each child and component, the larger of -min and max over the
+        # vertices is the worst |value|; the component takes both signs
+        # (min <= zero and max >= -zero) when the smaller is >= -zero.
+        neg_low, high = -pair_values.min(axis=1), pair_values.max(axis=1)
+        worst = np.maximum(neg_low, high).max(axis=1)
+        zero = _SIGN_ZERO_RTOL * (1.0 + worst)
+        lower_ok, upper_ok = (np.minimum(neg_low, high).min(axis=1) >= -zero).tolist()
+        if not (lower_ok or upper_ok):
             raise NoSignCriterion(
                 f"neither child keeps a sign change for {f.name} at depth {depth}"
             )
-        # min keeps the first of equal residuals: the lower child wins ties.
-        choice, rows, values = min(candidates, key=lambda c: np.abs(c[2]).max())
-        current = Simplex(rows)
+        lower_worst, upper_worst = worst.tolist()
+        # The lower child wins ties.
+        k = int(not lower_ok or (upper_ok and upper_worst < lower_worst))
+        current, values = Simplex(pair[k]), pair_values[k]
         profile = edge_profile(current)
         depth += 1
-        steps.append(_record(current, profile, depth, choice, diam0))
+        steps.append(_record(current, profile, depth, ("lower", "upper")[k], diam0))
         converged = steps[-1].error_estimate <= tol
     approximation = barycenter(current)
     value = _evaluate(f, approximation)

@@ -52,7 +52,7 @@ class Simplex:
 
     def __post_init__(self):
         arr = np.array(self.vertices, dtype=float)
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 
     @property
@@ -163,14 +163,14 @@ def edge_profile(s: Simplex) -> EdgeProfile:
     diam = lengths.item(hi)
     if diam == math.inf:
         raise OverflowError("squared edge lengths overflow the float range")
-    lengths.flags.writeable = False
+    lengths.setflags(write=False)
     return EdgeProfile(lengths, diam, lengths.item(lo), divmod(hi, k), divmod(lo, k))
 
 
 def squared_distance_matrix(s: Simplex) -> np.ndarray:
     """Symmetric (m+1, m+1) matrix of squared vertex distances."""
     v = s.vertices
-    gaps = v[:, None, :] - v[None, :, :]
+    gaps = v[:, None] - v
     return np.einsum("ijk,ijk->ij", gaps, gaps)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,11 +19,14 @@ from simplexgeo import (
     volume,
 )
 from simplexgeo import bisection
+from simplexgeo.bisection import BisectionStep, BisectionTrace
+from simplexgeo.core import Simplex
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     DimensionMismatch,
     EvaluationFailure,
     NoSignCriterion,
+    SimplexError,
 )
 
 
@@ -137,6 +141,14 @@ class TestBounds:
             assert worst <= containment_bound(p, 3, diam0) + 1e-12
 
 
+# Roots that x - root keeps inside the corner simplex (the origin and the unit
+# vectors) all the way to convergence; the sign test loses many others.
+CORNER_ROOTS = {1: [0.3], 2: [0.25, 0.25], 3: [0.0625, 0.1875, 0.25], 4: [0.25] * 4}
+
+
+TETRAHEDRON = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+
+
 class TestSolve:
     def test_linear_1d(self):
         trace = solve(BUILTIN_SYSTEMS["linear-0.7"], validate_simplex([[0.0], [1.0]]), 1e-6, 100)
@@ -208,10 +220,17 @@ class TestSolve:
     def test_one_new_evaluation_per_step_corner(self):
         self._count_evaluations([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)
 
+    def test_one_new_evaluation_per_step_tetrahedron(self):
+        self._count_evaluations(TETRAHEDRON, np.array(CORNER_ROOTS[3]))
+
     @pytest.mark.parametrize(
         "vertices, root",
-        [([[0.0], [1.0]], 0.7), ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25)],
-        ids=["segment", "corner"],
+        [
+            ([[0.0], [1.0]], 0.7),
+            ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], 0.25),
+            (TETRAHEDRON, np.array(CORNER_ROOTS[3])),
+        ],
+        ids=["segment", "corner", "tetrahedron"],
     )
     def test_one_profile_per_accepted_simplex(self, monkeypatch, vertices, root):
         calls = []
@@ -285,3 +304,149 @@ class TestSolve:
         assert trace.converged
         assert trace.steps[-1].depth == 0
         assert trace.steps[0].child_choice is None
+
+
+def reference_solve(f, s0, tol, max_iter):
+    """The two-pass step rule that ``solve`` replaced, kept as a reference.
+
+    Each child is split from its own copy of the rows, passes its own sign
+    test, and ``min`` over the admissible children recomputes each worst
+    |value| as its key, so the lower child wins ties.
+    """
+
+    def evaluate(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.asarray(f.evaluate(x), dtype=float)
+        if value.shape != (f.dimension,) or not np.all(np.isfinite(value)):
+            raise EvaluationFailure(f"{f.name} returned an invalid value at {x.tolist()}")
+        return value
+
+    def split(rows, edge, new_row=None):
+        i, j = edge
+        if new_row is None:
+            new_row = 0.5 * (rows[i] + rows[j])
+        lower, upper = np.array(rows), np.array(rows)
+        lower[i] = new_row
+        upper[j] = new_row
+        return lower, upper
+
+    def admissible(values):
+        zero = 1e-12 * (1.0 + float(np.abs(values).max()))
+        has_low = (values <= zero).any(axis=0)
+        has_high = (values >= -zero).any(axis=0)
+        return bool((has_low & has_high).all())
+
+    def record(s, depth, choice):
+        profile = edge_profile(s)
+        return BisectionStep(
+            depth=depth,
+            child_choice=choice,
+            diam=profile.diam,
+            shor=profile.shor,
+            error_estimate=error_estimate(s),
+            kearfott_bound=kearfott_bound(depth, s.m, diam0),
+            barycenter=barycenter(s),
+        )
+
+    current, diam0 = s0, edge_profile(s0).diam
+    values = np.vstack([evaluate(v) for v in s0.vertices])
+    steps = [record(current, 0, None)]
+    while steps[-1].error_estimate > tol and len(steps) <= max_iter:
+        edge = edge_profile(current).diam_edge
+        lower, upper = split(current.vertices, edge)
+        lower_values, upper_values = split(values, edge, evaluate(lower[edge[0]]))
+        children = (("lower", lower, lower_values), ("upper", upper, upper_values))
+        candidates = [child for child in children if admissible(child[2])]
+        if not candidates:
+            raise NoSignCriterion(
+                f"neither child keeps a sign change for {f.name} at depth {len(steps) - 1}"
+            )
+        choice, rows, values = min(candidates, key=lambda c: np.abs(c[2]).max())
+        current = Simplex(rows)
+        steps.append(record(current, len(steps), choice))
+    approximation = barycenter(current)
+    value = evaluate(approximation)
+    residual = float(np.linalg.norm(value)) if abs(value).max() < 1e153 else math.hypot(*value)
+    return BisectionTrace(
+        steps=steps,
+        final_approximation=approximation,
+        final_error_estimate=steps[-1].error_estimate,
+        converged=steps[-1].error_estimate <= tol,
+        residual_norm=residual,
+    )
+
+
+def run_or_raise(solver, *args):
+    try:
+        return solver(*args)
+    except SimplexError as exc:
+        return exc
+
+
+def assert_matches_reference(system, s0, tol=1e-10, max_iter=400):
+    """``solve`` repeats the reference exactly: every field of every step,
+    the final fields, or the same exception with the same message."""
+    want = run_or_raise(reference_solve, system, s0, tol, max_iter)
+    got = run_or_raise(solve, system, s0, tol, max_iter)
+    if isinstance(want, SimplexError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return want
+    assert not isinstance(got, SimplexError), f"solve raised {got!r}"
+    assert len(got.steps) == len(want.steps)
+    for step, ref in zip(got.steps, want.steps):
+        for field in dataclasses.fields(BisectionStep):
+            value, expected = getattr(step, field.name), getattr(ref, field.name)
+            assert np.array_equal(value, expected), (step.depth, field.name)
+    assert np.array_equal(got.final_approximation, want.final_approximation)
+    assert got.final_error_estimate == want.final_error_estimate
+    assert got.residual_norm == want.residual_norm
+    assert got.converged is want.converged
+    return got
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+    def test_builtin_systems_from_seeded_starts(self, name):
+        system = BUILTIN_SYSTEMS[name]
+        m = system.dimension
+        rng = np.random.default_rng(1601)
+        outcomes = set()
+        for _ in range(12):
+            # A corner simplex of random size around a random point of the
+            # unit box, which holds every root of the built-in systems.
+            legs = rng.uniform(0.5, 1.5) * np.vstack([np.zeros(m), np.eye(m)])
+            weights = rng.dirichlet(np.full(m + 1, 2.0))
+            start = Simplex(legs - weights @ legs + rng.uniform(0.0, 1.0, m))
+            outcomes.add(type(assert_matches_reference(system, start)))
+        if name != "no-root-1d":
+            assert BisectionTrace in outcomes
+        assert NoSignCriterion in outcomes
+
+    @pytest.mark.parametrize("m", range(1, 5))
+    def test_linear_systems(self, m):
+        corner = validate_simplex(np.vstack([np.zeros(m), np.eye(m)]))
+        root = np.array(CORNER_ROOTS[m])
+        shifted = SystemFunction(m, lambda x: x - root, f"shifted-{m}d")
+        assert assert_matches_reference(shifted, corner, 1e-8).converged
+        rng = np.random.default_rng(1610 + m)
+        for _ in range(6):
+            a = rng.standard_normal((m, m)) + m * np.eye(m)
+            root = rng.uniform(-1.0, 1.0, m)
+            system = SystemFunction(m, lambda x, a=a, root=root: a @ (x - root), f"linear-{m}d")
+            # The root starts at the barycenter of the first start; the
+            # second need not contain it.
+            shape = random_simplex(rng, m, m, 1.0).vertices
+            assert_matches_reference(system, Simplex(shape - shape.mean(axis=0) + root), 1e-8)
+            assert_matches_reference(system, random_simplex(rng, m, m, 2.0), 1e-8, 60)
+
+    def test_exact_tie_keeps_the_lower_child(self):
+        # Both children of [0, 1] keep the zero at 0.5 with worst |value| 0.5.
+        system = SystemFunction(1, lambda x: x - 0.5, "tie")
+        trace = assert_matches_reference(system, validate_simplex([[0.0], [1.0]]), 1e-6, 50)
+        assert trace.steps[1].child_choice == "lower"
+
+    def test_only_the_upper_child_is_admissible(self):
+        # The midpoint 0.5 leaves the root 0.3 in the upper child [0, 0.5].
+        system = SystemFunction(1, lambda x: x - 0.3, "upper-only")
+        trace = assert_matches_reference(system, validate_simplex([[0.0], [1.0]]), 1e-6, 50)
+        assert trace.steps[1].child_choice == "upper"

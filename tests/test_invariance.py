@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from simplexgeo import (
@@ -19,7 +19,7 @@ from simplexgeo import (
     validate_simplex,
 )
 from simplexgeo.corpus import random_simplex
-from simplexgeo.errors import SimplexError
+from simplexgeo.errors import IllConditioned, SimplexError
 
 from conftest import (
     point_set_diameter,
@@ -104,11 +104,16 @@ ANALYZE_REPORTS = (median_sums, combined_enclosure, metrics_report)
 
 
 def analyze_reports(vertices):
-    """The three analyze reports, or the type of the error they raise."""
+    """The three analyze reports, or the type of the error they raise.
+
+    ``IllConditioned`` is a warning that the suite's filter turns into an
+    error; the condition number it judges is invariant under 2^k scaling,
+    so the scaled copy must raise it too.
+    """
     try:
         s = validate_simplex(vertices)
         return [report(s) for report in ANALYZE_REPORTS]
-    except (SimplexError, ArithmeticError) as exc:
+    except (SimplexError, ArithmeticError, IllConditioned) as exc:
         return type(exc)
 
 
@@ -123,8 +128,29 @@ def unit_box_simplices(draw):
     return np.array(draw(st.lists(rows, min_size=m + 1, max_size=m + 1)))
 
 
+# A draw whose incenter's edge-factor condition number, 1.003e8, is just
+# above the warning threshold.
+ILL_CONDITIONED_DRAW = np.ldexp(
+    np.array(
+        [
+            [0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0],
+            [0, 1, 0, 3, 0],
+            [0, 1989, 1, 71, 30],
+            [7109, 35, 763, 1, 0],
+            [1, 0, 0, 0, 0],
+        ],
+        dtype=float,
+    ),
+    -20,
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(vertices=unit_box_simplices(), k=st.integers(min_value=-400, max_value=400))
+@example(vertices=ILL_CONDITIONED_DRAW, k=0)
+@example(vertices=ILL_CONDITIONED_DRAW, k=37)
+@example(vertices=ILL_CONDITIONED_DRAW, k=-300)
 def test_power_of_two_scaling_is_exact(vertices, k):
     want = analyze_reports(vertices)
     got = analyze_reports(np.ldexp(vertices, k))
