@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     barycenter,
     check_index,
     face_centroid,
+    face_centroids,
     require_regular,
     squared_distance_matrix,
 )
@@ -50,6 +52,14 @@ class MedianReport:
     sum_squares_edges: float
 
 
+@lru_cache(maxsize=32)
+def _upper(k: int) -> np.ndarray:
+    """Read-only mask of the strict upper triangle of a k x k matrix."""
+    mask = ~np.tri(k, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def radicands(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex radicands from a squared-distance matrix: (floored, raw).
 
@@ -62,7 +72,7 @@ def radicands(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     m = sq.shape[0] - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sq[~np.tri(m + 1, dtype=bool)].sum()
+        total = sq[_upper(m + 1)].sum()
         rows = sq.sum(axis=1)
         star = m * rows
         face = total - rows
@@ -125,8 +135,8 @@ def median_sums(s: Simplex) -> MedianReport:
     sq = squared_distance_matrix(s)
     floored, raw = radicands(sq)
     center = barycenter(s)
-    medians = [s.vertices[i] - face_centroid(s, i) for i in range(s.m + 1)]
-    median_squares = [float(med @ med) for med in medians]
+    # One BLAS dot per row: einsum rounds some rows differently.
+    median_squares = [float(med @ med) for med in s.vertices - face_centroids(s)]
     return MedianReport(
         median_lengths=(np.sqrt(floored) / s.m).tolist(),
         apollonius_residuals=(raw - s.m**2 * np.array(median_squares)).tolist(),
@@ -134,7 +144,7 @@ def median_sums(s: Simplex) -> MedianReport:
         # total bit for bit; numpy's pairwise summation rounds differently.
         sum_squares_medians=sum(median_squares),
         sum_squares_center_to_vertices=sum(float(g @ g) for g in center - s.vertices),
-        sum_squares_edges=float(sq[~np.tri(s.m + 1, dtype=bool)].sum()),
+        sum_squares_edges=float(sq[_upper(s.m + 1)].sum()),
     )
 
 
@@ -166,9 +176,6 @@ def carnot_regular_check(s: Simplex) -> tuple[float, float]:
     """
     require_regular(s)
     center = barycenter(s)
-    total = 0.0
-    for i in range(s.m + 1):
-        total += float(np.linalg.norm(center - face_centroid(s, i)))
+    gaps = [float(np.linalg.norm(g)) for g in center - face_centroids(s)]
     circum = float(np.linalg.norm(center - s.vertices[0]))
-    inr = float(np.linalg.norm(center - face_centroid(s, 0)))
-    return total, circum + inr
+    return sum(gaps), circum + gaps[0]

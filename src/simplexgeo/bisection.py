@@ -157,7 +157,10 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     qualify the one with the smaller worst-vertex residual wins, with the
     lower child breaking ties.  Iteration stops once the barycenter error
     bound drops to ``tol``; if neither child qualifies, NoSignCriterion
-    is raised rather than guessing.  Each step evaluates f once, at the
+    is raised rather than guessing.  The sign test is necessary only, so
+    the kept child can miss a root inside the start simplex and a later
+    step then raises: from the unit corner tetrahedron, f(x) = x - 1/4
+    in every component ends at depth 8.  Each step evaluates f once, at the
     midpoint; both children and their vertex values are split by
     ``bisect``'s rule into stacked arrays, one min and max pass over those
     values decides both children, and only the kept child is profiled.

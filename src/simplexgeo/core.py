@@ -120,17 +120,20 @@ def validate_simplex(vertices) -> Simplex:
     (m+1) times the smallest normal float.  Edges are >= sv and inverse
     altitudes <= sqrt(m)/sv, so then their squares are in range.
     """
-    pts = [as_point(v) for v in vertices]
-    if len(pts) < 2:
+    # A real 2-D ndarray is checked whole, in at most one float copy;
+    # anything else, or an array with an entry that is not finite as a
+    # float, row by row, so that every error is the one as_point raises.
+    real = type(vertices) is np.ndarray and vertices.ndim == 2 and vertices.dtype.kind in "biuf"
+    arr = np.asarray(vertices, dtype=float, order="C") if real and vertices.size else None
+    if arr is None or not np.isfinite(arr).all():
+        pts = [as_point(v) for v in vertices]
+        for p in pts[1:]:
+            if p.size != pts[0].size:
+                raise DimensionMismatch(f"vertices mix coordinate dimensions {pts[0].size} and {p.size}")
+        arr = np.array(pts)
+    if len(arr) < 2:
         raise TooFewPoints("a simplex needs at least 2 vertices")
-    n = pts[0].size
-    for p in pts[1:]:
-        if p.size != n:
-            raise DimensionMismatch(
-                f"vertices mix coordinate dimensions {n} and {p.size}"
-            )
-    arr = np.vstack(pts)
-    m = len(pts) - 1
+    m, n = len(arr) - 1, arr.shape[1]
     if n < m:
         raise Degenerate(
             f"{m + 1} points in R^{n} cannot be affinely independent"
@@ -185,11 +188,17 @@ def barycenter(s: Simplex) -> np.ndarray:
     return centroid(s.vertices)
 
 
+def face_centroids(s: Simplex) -> np.ndarray:
+    """Barycenters of all m+1 faces, row i opposite vertex i, as offsets to
+    vertex 0: v_0 + (sum of the offsets - offset i) / m."""
+    rel = s.vertices - s.vertices[0]
+    return s.vertices[0] + (rel.sum(axis=0) - rel) / s.m
+
+
 def face_centroid(s: Simplex, i: int) -> np.ndarray:
-    """Barycenter of the face opposite vertex i."""
+    """Barycenter of the face opposite vertex i: row i of face_centroids."""
     check_index(s, i)
-    keep = [k for k in range(s.m + 1) if k != i]
-    return centroid(s.vertices[keep])
+    return face_centroids(s)[i]
 
 
 def sub_face(s: Simplex, drop) -> Simplex:

@@ -18,8 +18,8 @@ from simplexgeo import (
     regular_simplex,
     validate_simplex,
 )
-from simplexgeo.apollonius import radicands
-from simplexgeo.core import squared_distance_matrix
+from simplexgeo.apollonius import _upper, radicands
+from simplexgeo.core import face_centroids, squared_distance_matrix
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import IndexOutOfRange, NegativeRadicand, NotRegular
 
@@ -258,6 +258,48 @@ def test_vectorised_radicands_match_per_vertex_loop(mixed_corpus):
         assert report.sum_squares_medians == sum_medians
         assert report.sum_squares_center_to_vertices == sum_center
         assert report.sum_squares_edges == total
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_face_centroids_agree_bit_for_bit(m):
+    """face_centroid is a row of the batched centroids, and median_sums'
+    residuals are apollonius_residual's, bit for bit, up to m = 10."""
+    rng = np.random.default_rng(1700 + m)
+    for k in range(30):
+        n = m + int(rng.integers(0, 3))
+        s = random_simplex(rng, m, n, 10.0)
+        if k % 3 == 1:  # far from the origin, where the offsets matter
+            s = validate_simplex(s.vertices + rng.uniform(-1e8, 1e8, n))
+        batch = face_centroids(s)
+        assert batch.shape == (m + 1, n)
+        report = median_sums(s)
+        sum_medians = 0.0
+        for i in range(m + 1):
+            assert face_centroid(s, i).tobytes() == batch[i].tobytes()
+            assert report.apollonius_residuals[i] == apollonius_residual(s, i)
+            med = s.vertices[i] - face_centroid(s, i)
+            sum_medians += float(med @ med)
+        assert report.sum_squares_medians == sum_medians
+        # Each row is the mean of the other vertices, to rounding.
+        atol = 8 * m * np.finfo(float).eps * np.abs(s.vertices).max()
+        for i in range(m + 1):
+            others = np.delete(s.vertices, i, axis=0)
+            assert np.allclose(batch[i], others.mean(axis=0), rtol=0, atol=atol)
+
+
+def test_upper_mask_is_shared_and_read_only():
+    sq = squared_distance_matrix(validate_simplex([(0, 0, 0), (3, 0, 0), (0, 4, 0), (0, 0, 5)]))
+    before = radicands(sq)
+    mask = _upper(4)
+    assert mask is _upper(4)
+    assert np.array_equal(mask, np.triu(np.ones((4, 4), dtype=bool), 1))
+    assert not mask.flags.writeable
+    with pytest.raises(ValueError):
+        mask[0, 1] = False
+    with pytest.raises(ValueError):
+        mask[mask] = False
+    after = radicands(sq)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 class TestExactApollonius:

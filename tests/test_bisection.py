@@ -439,6 +439,19 @@ class TestStepRule:
             assert_matches_reference(system, Simplex(shape - shape.mean(axis=0) + root), 1e-8)
             assert_matches_reference(system, random_simplex(rng, m, m, 2.0), 1e-8, 60)
 
+    def test_interior_root_can_end_without_a_sign_criterion(self):
+        # The sign test is necessary only, so the kept child can miss a root
+        # inside the start simplex: from the unit corner tetrahedron this one
+        # ends at depth 8 (README, exit code 6).  The same f converges in R^2.
+        root = np.full(3, 0.25)
+        system = SystemFunction(3, lambda x: x - root, "quarter-3d")
+        with pytest.raises(NoSignCriterion, match="at depth 8$"):
+            solve(system, validate_simplex(TETRAHEDRON), 1e-8, 200)
+        planar = SystemFunction(2, lambda x: x - root[:2], "quarter-2d")
+        trace = solve(planar, validate_simplex([(0, 0), (1, 0), (0, 1)]), 1e-8, 200)
+        assert trace.converged
+        assert np.allclose(trace.final_approximation, root[:2], atol=1e-7)
+
     def test_exact_tie_keeps_the_lower_child(self):
         # Both children of [0, 1] keep the zero at 0.5 with worst |value| 0.5.
         system = SystemFunction(1, lambda x: x - 0.5, "tie")

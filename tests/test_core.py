@@ -15,7 +15,7 @@ from simplexgeo import (
     validate_simplex,
     volume,
 )
-from simplexgeo.core import edge_spread, require_regular
+from simplexgeo.core import RANK_RTOL, as_point, check_range, edge_spread, require_regular
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     Degenerate,
@@ -98,6 +98,158 @@ class TestValidate:
         pts = [(3.0, 1.0), (0.0, 0.0), (1.0, 4.0)]
         s = validate_simplex(pts)
         assert np.array_equal(s.vertices, np.asarray(pts))
+
+
+def reference_validate_simplex(vertices) -> Simplex:
+    """The row-by-row validation that ``validate_simplex`` replaced for real
+    2-D arrays, kept as a reference: every row through ``as_point``, then
+    the dimension test and one ``vstack``."""
+    pts = [as_point(v) for v in vertices]
+    if len(pts) < 2:
+        raise TooFewPoints("a simplex needs at least 2 vertices")
+    n = pts[0].size
+    for p in pts[1:]:
+        if p.size != n:
+            raise DimensionMismatch(
+                f"vertices mix coordinate dimensions {n} and {p.size}"
+            )
+    arr = np.vstack(pts)
+    m = len(pts) - 1
+    if n < m:
+        raise Degenerate(
+            f"{m + 1} points in R^{n} cannot be affinely independent"
+        )
+    check_range(arr)
+    sv = np.linalg.svd(arr[1:] - arr[0], compute_uv=False)
+    if sv[-1] <= RANK_RTOL * sv[0]:
+        raise Degenerate(
+            "vertices are affinely dependent within tolerance "
+            f"(singular values {sv[0]:.3e} .. {sv[-1]:.3e})"
+        )
+    if sv[-1] ** 2 < (m + 1) * np.finfo(float).tiny:
+        raise Underflow(f"simplex too small: singular value {sv[-1]:.3e} underflows when squared")
+    return Simplex(arr)
+
+
+def validation_outcome(validate, vertices):
+    """The error class and message, or the vertex array down to its bytes."""
+    try:
+        v = validate(vertices).vertices
+    except Exception as exc:  # the suite turns RuntimeWarnings into errors too
+        return type(exc), str(exc)
+    return v.shape, v.dtype, v.flags.c_contiguous, v.flags.writeable, v.tobytes()
+
+
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+NAN, INF = float("nan"), float("inf")
+
+# (id, nested lists, dtype of the ndarray form); an ndarray that numpy
+# cannot build from the lists with that dtype is left out.
+HOSTILE_ROWS = [
+    ("float", [[0.5, -0.0], [1.25, 0.1], [-0.3, 1.7]], float),
+    ("float-r4", [[0.1, 0.2, 0.3, 0.4], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.7]], float),
+    ("int", [[0, 0, 3], [7, 0, 1], [0, -5, 2]], np.int64),
+    ("uint8", [[0, 0], [255, 0], [0, 3]], np.uint8),
+    ("bool", [[False, False], [True, False], [False, True]], bool),
+    ("float32", [[0.1, 0.2], [1.3, 0.0], [0.0, 1.7]], np.float32),
+    ("float16", [[0.1, 0.2], [1.3, 0.0], [0.0, 1.7]], np.float16),
+    ("object-numbers", [[0, 0.5], [1, 0], [0, 1]], object),
+    ("object-string", [[0, 0], [1, "a"], [0, 1]], object),
+    ("object-none", [[0, 0], [1, None], [0, 1]], object),
+    ("object-big-int", [[0, 0], [10**400, 0], [0, 1]], object),
+    ("object-big-int-fits", [[0, 0], [10**30, 0], [0, 10**30]], object),
+    ("strings", [["0", "0"], ["1", "0"], ["0", "1.5"]], str),
+    ("bad-strings", [["0", "0"], ["1", "x"], ["0", "1"]], str),
+    ("complex-real", TRIANGLE, complex),
+    ("complex", [[0, 0], [1, 1j], [0, 1]], complex),
+    ("int-inexact", [[0, 0], [2**53 + 1, 0], [0, 2**60 + 3]], np.int64),
+    ("segment", [[0.0], [2.5]], float),
+    ("1-d", [0.0, 1.0, 2.0], float),
+    ("3-d", [[[0, 0]], [[1, 0]], [[0, 1]]], float),
+    ("empty-rows", [[], [], []], float),
+    ("no-rows", [], float),
+    ("one-row", [[1.0, 2.0]], float),
+    ("one-scalar-row", [[1.0]], float),
+    ("ragged", [[0, 0], [1, 0, 0], [0, 1]], None),
+    ("ragged-first", [[0, 0, 0], [1, 0], [0, 1]], None),
+    ("ragged-empty", [[0, 0], [], [0, 1]], None),
+    ("nan", [[0, 0], [NAN, 0], [0, 1]], float),
+    ("inf-last", [[0, 0], [1, 0], [0, -INF]], float),
+    ("nan-and-ragged", [[0, NAN], [1, 0, 0], [0, 1]], None),
+    ("n-below-m", [[0, 0], [1, 0], [0, 1], [1, 1]], float),
+    ("points-on-line", [[0], [1], [2]], float),
+    ("overflow", [[-1e308, 0], [1e308, 0], [0, 1]], float),
+    ("overflow-squared", [[0, 0], [1e155, 0], [0, 1e155]], float),
+    ("underflow", [[0, 0], [1e-170, 0], [0, 1e-170]], float),
+    ("sv-underflow", [[0, 0], [1e-153, 0], [0, 5e-155]], float),
+    ("far-off", [[1e300, 1e300], [1e300 + 2e284, 1e300], [1e300, 1e300 + 2e284]], float),
+    ("rank-deficient", [[0, 0], [1, 1], [2, 2]], float),
+    ("rank-deficient-int", [[0, 0, 0], [1, 1, 1], [3, 3, 3]], np.int64),
+    ("near-degenerate", [[0, 0], [1, 0], [0.5, 1e-12]], float),
+    ("coincident", [[1, 1], [1, 1]], float),
+]
+
+
+def hostile_arrays():
+    """Inputs that only exist as arrays: layouts, dtypes and subclasses."""
+    big = np.arange(24, dtype=float).reshape(4, 6) ** 1.5
+    ld = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.longdouble)
+    ld[1, 0] = np.longdouble("1e400")
+    return [
+        ("fortran", np.asfortranarray([[0.5, 1.0, 2.0], [3.0, 0.25, 1.0], [2.0, 2.0, 7.0]])),
+        ("strided", big[::2, ::3]),
+        ("reversed", np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])[::-1]),
+        ("zero-by-n", np.zeros((0, 3))),
+        ("k-by-zero", np.zeros((3, 0))),
+        ("big-endian", np.array([[0, 0], [1, 0], [0, 1.5]], dtype=">f8")),
+        ("uint64-huge", np.array([[0, 0], [2**64 - 1, 0], [0, 1]], dtype=np.uint64)),
+        ("longdouble", np.array([[0, 0], [1, 0], [0, 1]], dtype=np.longdouble) / 3),
+        ("longdouble-overflow", ld),
+        ("masked", np.ma.array([[0.0, 0.0], [NAN, 0.0], [0.0, 1.0]], mask=[[0, 0], [1, 0], [0, 0]])),
+        ("0-d", np.array(1.0)),
+        ("datetime", np.zeros((3, 2), dtype="m8[s]")),
+    ]
+
+
+def hostile_inputs():
+    for name, rows, dtype in HOSTILE_ROWS:
+        yield f"{name}-lists", rows
+        if dtype is not None:
+            yield f"{name}-array", np.array(rows, dtype=dtype)
+        else:  # numpy holds ragged rows only as an object array of lists
+            arr = np.empty(len(rows), dtype=object)
+            arr[:] = rows
+            yield f"{name}-array", arr
+    yield from hostile_arrays()
+
+
+class TestValidateMatchesReference:
+    @pytest.mark.parametrize("vertices", [pytest.param(v, id=name) for name, v in hostile_inputs()])
+    def test_same_error_or_same_bits(self, vertices):
+        want = validation_outcome(reference_validate_simplex, vertices)
+        got = validation_outcome(validate_simplex, vertices)
+        assert got == want
+
+    def test_table_covers_errors_and_successes(self):
+        kinds = {
+            validation_outcome(reference_validate_simplex, vertices)[0]
+            for _, vertices in hostile_inputs()
+        }
+        for cls in (
+            InvalidPoint, TooFewPoints, DimensionMismatch, Degenerate, OverflowError,
+            Underflow, ValueError, TypeError, RuntimeWarning,
+        ):
+            assert any(isinstance(k, type) and issubclass(k, cls) for k in kinds), cls
+        assert any(isinstance(k, tuple) for k in kinds)  # shapes of valid simplices
+
+    def test_random_arrays(self, mixed_corpus):
+        rng = np.random.default_rng(1702)
+        for s in mixed_corpus[:200]:
+            shift = rng.uniform(-1e6, 1e6, s.n)
+            for vertices in (s.vertices, s.vertices + shift, s.vertices.T.copy().T):
+                want = validation_outcome(reference_validate_simplex, vertices)
+                assert validation_outcome(validate_simplex, vertices) == want
+                assert validation_outcome(validate_simplex, vertices.tolist()) == want
 
 
 class TestEdgeProfile:
