@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable
 
 import numpy as np
 
-from .core import EdgeProfile, Simplex, barycenter, check_int, check_positive, edge_profile
+from .core import Simplex, centroid, check_int, check_positive, edge_profile, extremal_edges
 from .errors import DimensionMismatch, EvaluationFailure, NoSignCriterion
 
 # Fraction of the vertex-value magnitude below which a component counts
@@ -115,12 +116,13 @@ def error_estimate(s: Simplex) -> float:
     Uses both the longest and the shortest edge, so it is tighter than
     the coarse m/(m+1) * diam cap whenever the edges are uneven.
     """
-    return _edge_error_bound(edge_profile(s), s.m)
+    profile = edge_profile(s)
+    return _edge_error_bound(profile.diam, profile.shor, s.m)
 
 
-def _edge_error_bound(profile: EdgeProfile, m: int) -> float:
+def _edge_error_bound(diam: float, shor: float, m: int) -> float:
     # shor <= diam, so the radicand is nonnegative.
-    radicand = profile.diam**2 - (m - 1.0) / (2.0 * m) * profile.shor**2
+    radicand = diam**2 - (m - 1.0) / (2.0 * m) * shor**2
     return m / (m + 1.0) * math.sqrt(radicand)
 
 
@@ -134,18 +136,14 @@ def _evaluate(f: SystemFunction, vertex: np.ndarray) -> np.ndarray:
     return value
 
 
-def _record(
-    s: Simplex, profile: EdgeProfile, depth: int, choice: str | None, diam0: float
-) -> BisectionStep:
-    return BisectionStep(
-        depth=depth,
-        child_choice=choice,
-        diam=profile.diam,
-        shor=profile.shor,
-        error_estimate=_edge_error_bound(profile, s.m),
-        kearfott_bound=_kearfott(depth, s.m, diam0),
-        barycenter=barycenter(s),
-    )
+def _worst_value(low: list, high: list) -> float | None:
+    """A child's worst |value|, max(-min, max) over the components of the
+    per-component min and max of its vertex values, or None unless every
+    component takes both signs: min <= zero and max >= -zero, where zero
+    is 1e-12 * (1 + the worst |value|)."""
+    worst = max(map(max, map(neg, low), high))
+    zero = _SIGN_ZERO_RTOL * (1.0 + worst)
+    return worst if min(map(min, map(neg, low), high)) >= -zero else None
 
 
 def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> BisectionTrace:
@@ -160,10 +158,20 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     is raised rather than guessing.  The sign test is necessary only, so
     the kept child can miss a root inside the start simplex and a later
     step then raises: from the unit corner tetrahedron, f(x) = x - 1/4
-    in every component ends at depth 8.  Each step evaluates f once, at the
-    midpoint; both children and their vertex values are split by
-    ``bisect``'s rule into stacked arrays, one min and max pass over those
-    values decides both children, and only the kept child is profiled.
+    in every component ends at depth 8.  A ``tol`` below the resolution
+    of the coordinates, about eps * |x|, may never be met: midpoints round
+    back onto vertices, the kept simplex stops shrinking and the run uses
+    all of ``max_iter``.  From the unit corner triangle at tol 1e-300,
+    ``shifted-identity-2d`` cycles between two simplices from depth 108 on,
+    with the bound at 4.9e-17 and 3.7e-17.
+
+    Each step evaluates f once, at the midpoint; both children and their
+    vertex values are split by ``bisect``'s rule into stacked arrays, and
+    one min and max pass over those values decides both children.  Only
+    the kept child's edge lengths are updated: it differs from its parent
+    in one vertex, so one row and column of the carried length matrix are
+    recomputed from coordinates.  Barycenters and step records are formed
+    once, after the loop.
     """
     if s0.m != s0.n or s0.n != f.dimension:
         raise DimensionMismatch(
@@ -173,45 +181,46 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     check_positive("tol", tol)
     check_int("max_iter", max_iter, 1)
 
-    current, profile = s0, edge_profile(s0)
-    diam0 = profile.diam
-    values = np.vstack([_evaluate(f, v) for v in s0.vertices])
-    steps = [_record(current, profile, 0, None, diam0)]
-    converged = steps[-1].error_estimate <= tol
-    depth = 0
-    while not converged and depth < max_iter:
-        i, j = profile.diam_edge
-        pair = _children(current.vertices, (i, j))
+    m, rows = s0.m, s0.vertices
+    profile = edge_profile(s0)
+    lengths, edge, diam0 = profile.lengths.copy(), profile.diam_edge, profile.diam
+    values = np.vstack([_evaluate(f, v) for v in rows])
+    bound = _edge_error_bound(profile.diam, profile.shor, m)
+    path, records = [rows], [(None, profile.diam, profile.shor, bound)]
+    while bound > tol and len(path) <= max_iter:
+        pair = _children(rows, edge)
         pair_values = np.array((values, values))
-        pair_values[0, i] = pair_values[1, j] = _evaluate(f, pair[0, i])
-        # For each child and component, the larger of -min and max over the
-        # vertices is the worst |value|; the component takes both signs
-        # (min <= zero and max >= -zero) when the smaller is >= -zero.
-        neg_low, high = -pair_values.min(axis=1), pair_values.max(axis=1)
-        worst = np.maximum(neg_low, high).max(axis=1)
-        zero = _SIGN_ZERO_RTOL * (1.0 + worst)
-        lower_ok, upper_ok = (np.minimum(neg_low, high).min(axis=1) >= -zero).tolist()
-        if not (lower_ok or upper_ok):
+        pair_values[0, edge[0]] = pair_values[1, edge[1]] = _evaluate(f, pair[0, edge[0]])
+        lows, highs = pair_values.min(axis=1).tolist(), pair_values.max(axis=1).tolist()
+        lower, upper = map(_worst_value, lows, highs)
+        if lower is None and upper is None:
             raise NoSignCriterion(
-                f"neither child keeps a sign change for {f.name} at depth {depth}"
+                f"neither child keeps a sign change for {f.name} at depth {len(path) - 1}"
             )
-        lower_worst, upper_worst = worst.tolist()
         # The lower child wins ties.
-        k = int(not lower_ok or (upper_ok and upper_worst < lower_worst))
-        current, values = Simplex(pair[k]), pair_values[k]
-        profile = edge_profile(current)
-        depth += 1
-        steps.append(_record(current, profile, depth, ("lower", "upper")[k], diam0))
-        converged = steps[-1].error_estimate <= tol
-    approximation = barycenter(current)
+        k = int(lower is None or (upper is not None and upper < lower))
+        rows, values, r = pair[k], pair_values[k], edge[k]
+        # The kept child differs from its parent in row r alone.
+        gaps = rows - rows[r]
+        lengths[r] = lengths[:, r] = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+        diam, shor, edge, _ = extremal_edges(lengths)
+        bound = _edge_error_bound(diam, shor, m)
+        path.append(rows)
+        records.append((("lower", "upper")[k], diam, shor, bound))
+    centers = centroid(np.array(path))
+    steps = [
+        BisectionStep(depth, choice, diam, shor, bound, _kearfott(depth, m, diam0), center)
+        for depth, ((choice, diam, shor, bound), center) in enumerate(zip(records, centers))
+    ]
+    approximation = centers[-1]
     value = _evaluate(f, approximation)
     # norm's sum of squares overflows for components near 1e154, hypot does not.
     residual = float(np.linalg.norm(value)) if abs(value).max() < 1e153 else math.hypot(*value)
     return BisectionTrace(
         steps=steps,
         final_approximation=approximation,
-        final_error_estimate=steps[-1].error_estimate,
-        converged=converged,
+        final_error_estimate=bound,
+        converged=bound <= tol,
         residual_norm=residual,
     )
 

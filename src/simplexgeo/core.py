@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,21 +154,37 @@ def validate_simplex(vertices) -> Simplex:
 def edge_profile(s: Simplex) -> EdgeProfile:
     """Compute every edge length and the extremal edges of a simplex.
 
-    The first extremum of the symmetric matrix in row-major order lies
-    above the diagonal and is the lexicographically smallest such pair.
     Raises OverflowError when a squared edge length exceeds the float range.
     """
-    k = s.m + 1
     lengths = np.sqrt(squared_distance_matrix(s))
-    off_diagonal = lengths.copy()
-    off_diagonal.flat[:: k + 1] = math.inf
+    extremes = extremal_edges(lengths)
+    lengths.setflags(write=False)
+    return EdgeProfile(lengths, *extremes)
+
+
+def extremal_edges(lengths: np.ndarray) -> tuple:
+    """(diam, shor, diam_edge, shor_edge) of a symmetric edge-length matrix.
+
+    The first extremum in row-major order lies above the diagonal and is
+    the lexicographically smallest such pair.  Raises OverflowError when
+    the longest edge is infinite.
+    """
+    k = len(lengths)
     hi = int(lengths.argmax())
-    lo = int(off_diagonal.argmin())
+    lo = int((lengths + _inf_diagonal(k)).argmin())
     diam = lengths.item(hi)
     if diam == math.inf:
         raise OverflowError("squared edge lengths overflow the float range")
-    lengths.setflags(write=False)
-    return EdgeProfile(lengths, diam, lengths.item(lo), divmod(hi, k), divmod(lo, k))
+    return diam, lengths.item(lo), divmod(hi, k), divmod(lo, k)
+
+
+@lru_cache(maxsize=32)
+def _inf_diagonal(k: int) -> np.ndarray:
+    """Read-only (k, k) matrix, inf on the diagonal and 0 elsewhere: added to
+    the lengths, it leaves only the edges for the minimum."""
+    mask = np.diag(np.full(k, math.inf))
+    mask.setflags(write=False)
+    return mask
 
 
 def squared_distance_matrix(s: Simplex) -> np.ndarray:
@@ -179,8 +196,10 @@ def squared_distance_matrix(s: Simplex) -> np.ndarray:
 
 def centroid(points: np.ndarray) -> np.ndarray:
     """Mean of the rows, summed as offsets to the first row, so that where
-    the set lies can neither overflow the sum nor round away its shape."""
-    return points[0] + (points[1:] - points[0]).sum(axis=0) / len(points)
+    the set lies can neither overflow the sum nor round away its shape.
+    A stack of point sets, (..., rows, n), gives one mean per set."""
+    first = points[..., 0, :]
+    return first + (points[..., 1:, :] - first[..., None, :]).sum(axis=-2) / points.shape[-2]
 
 
 def barycenter(s: Simplex) -> np.ndarray:

@@ -232,7 +232,7 @@ class TestSolve:
         ],
         ids=["segment", "corner", "tetrahedron"],
     )
-    def test_one_profile_per_accepted_simplex(self, monkeypatch, vertices, root):
+    def test_one_profile_and_replayed_steps(self, monkeypatch, vertices, root):
         calls = []
 
         def counted(s):
@@ -240,12 +240,20 @@ class TestSolve:
             return edge_profile(s)
 
         monkeypatch.setattr(bisection, "edge_profile", counted)
-        s0 = validate_simplex(vertices)
-        system = SystemFunction(dimension=s0.m, evaluate=lambda x: x - root, name="shifted")
-        trace = solve(system, s0, 1e-6, 100)
+        s = validate_simplex(vertices)
+        system = SystemFunction(dimension=s.m, evaluate=lambda x: x - root, name="shifted")
+        trace = solve(system, s, 1e-6, 100)
         assert trace.converged
-        # The start simplex and each accepted child, never a rejected one.
-        assert len(calls) == trace.steps[-1].depth + 1
+        # Only the start simplex is profiled; every later step carries the
+        # edge lengths and must match the child replayed from scratch.
+        assert calls == [s]
+        for step in trace.steps[1:]:
+            lower, upper = bisect(s)
+            s = lower if step.child_choice == "lower" else upper
+            profile = edge_profile(s)
+            assert profile.diam == step.diam
+            assert profile.shor == step.shor
+            assert np.array_equal(barycenter(s), step.barycenter)
 
     @pytest.mark.parametrize(
         "name", ["linear-0.7", "cubic-1d", "shifted-identity-2d", "circle-line-2d"]
@@ -267,6 +275,33 @@ class TestSolve:
             assert np.array_equal(barycenter(s), step.barycenter)
             assert profile.diam == step.diam
             assert profile.shor == step.shor
+
+    def test_tolerance_below_float_resolution_burns_the_budget(self):
+        # Near (1/4, 1/4) edges of about 7e-17 have midpoints that round back
+        # onto a vertex: from depth 108 on the path cycles between the same two
+        # simplices, and the bound never drops below 3.7e-17 (README, exit
+        # code 5).
+        s = validate_simplex([(0, 0), (1, 0), (0, 1)])
+        trace = solve(BUILTIN_SYSTEMS["shifted-identity-2d"], s, 1e-300, 150)
+        assert not trace.converged
+        assert trace.steps[-1].depth == 150
+        path = [s.vertices]
+        for step in trace.steps[1:]:
+            lower, upper = bisect(s)
+            s = lower if step.child_choice == "lower" else upper
+            path.append(s.vertices)
+        assert not np.array_equal(path[107], path[109])
+        assert all(np.array_equal(path[d], path[d + 2]) for d in range(108, 149))
+        assert [step.diam for step in trace.steps[108:110]] == [7.850462293418876e-17, 6.206335383118183e-17]
+        assert trace.final_error_estimate == pytest.approx(4.9e-17, rel=0.01)
+        assert min(step.error_estimate for step in trace.steps) == pytest.approx(3.7e-17, rel=0.01)
+        # These collapse to a single point instead, and converge.
+        segment = validate_simplex([[0.0], [1.0]])
+        corner = validate_simplex(path[0])
+        for name, start in (("linear-0.7", segment), ("cubic-1d", segment), ("circle-line-2d", corner)):
+            trace = solve(BUILTIN_SYSTEMS[name], start, 1e-300, 150)
+            assert trace.converged
+            assert trace.steps[-1].diam == 0.0
 
     def test_max_iter_exhaustion(self):
         trace = solve(BUILTIN_SYSTEMS["linear-0.7"], validate_simplex([[0.0], [1.0]]), 1e-9, 5)
@@ -438,6 +473,24 @@ class TestStepRule:
             shape = random_simplex(rng, m, m, 1.0).vertices
             assert_matches_reference(system, Simplex(shape - shape.mean(axis=0) + root), 1e-8)
             assert_matches_reference(system, random_simplex(rng, m, m, 2.0), 1e-8, 60)
+
+    @pytest.mark.parametrize("m", range(5, 11))
+    def test_linear_systems_at_higher_m(self, m):
+        # These paths lose the sign criterion within a few dozen steps, so
+        # each is compared twice: to the exception with the full budget, and
+        # step for step with the budget cut to end just before it (exit 5).
+        corner = validate_simplex(np.vstack([np.zeros(m), np.eye(m)]))
+        rng = np.random.default_rng(1620 + m)
+        for _ in range(3):
+            a = rng.standard_normal((m, m)) + m * np.eye(m)
+            root = rng.dirichlet(np.full(m + 1, 2.0)) @ corner.vertices
+            system = SystemFunction(m, lambda x, a=a, root=root: a @ (x - root), f"linear-{m}d")
+            failure = assert_matches_reference(system, corner, 1e-10, 400)
+            assert isinstance(failure, NoSignCriterion)
+            depth = int(str(failure).rsplit(" ", 1)[1])
+            trace = assert_matches_reference(system, corner, 1e-10, depth)
+            assert not trace.converged
+            assert trace.steps[-1].depth == depth
 
     def test_interior_root_can_end_without_a_sign_criterion(self):
         # The sign test is necessary only, so the kept child can miss a root

@@ -15,7 +15,16 @@ from simplexgeo import (
     validate_simplex,
     volume,
 )
-from simplexgeo.core import RANK_RTOL, as_point, check_range, edge_spread, require_regular
+from simplexgeo.core import (
+    RANK_RTOL,
+    _inf_diagonal,
+    as_point,
+    centroid,
+    check_range,
+    edge_spread,
+    extremal_edges,
+    require_regular,
+)
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     Degenerate,
@@ -293,6 +302,22 @@ class TestEdgeProfile:
             assert b.shor == pytest.approx(a.shor, rel=1e-9)
 
 
+    def test_inf_diagonal_mask_is_shared_and_read_only(self):
+        mask = _inf_diagonal(4)
+        assert mask is _inf_diagonal(4)
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, np.where(np.eye(4, dtype=bool), math.inf, 0.0))
+
+    def test_extremal_edges_leaves_its_matrix_alone(self):
+        lengths = np.sqrt(np.array([[0.0, 4.0, 9.0], [4.0, 0.0, 9.0], [9.0, 9.0, 0.0]]))
+        before = lengths.copy()
+        assert extremal_edges(lengths) == (3.0, 2.0, (0, 2), (0, 1))
+        assert np.array_equal(lengths, before)
+        lengths[0, 1] = lengths[1, 0] = math.inf
+        with pytest.raises(OverflowError):
+            extremal_edges(lengths)
+
+
 class TestBarycenterAndFaces:
     def test_corner_triangle_barycenter(self):
         s = validate_simplex([(0, 0), (2, 0), (0, 2)])
@@ -307,6 +332,17 @@ class TestBarycenterAndFaces:
         for _ in range(10):
             s = random_simplex(rng, int(rng.integers(1, 7)), 8)
             assert np.allclose(barycenter(s), np.mean(s.vertices, axis=0), atol=0)
+
+    def test_stacked_centroids_match_one_at_a_time(self):
+        rng = np.random.default_rng(17)
+        for m in range(1, 14):
+            path = rng.standard_normal((9, m + 1, m)) * 10.0 ** rng.integers(-8, 9, (9, 1, 1))
+            path += rng.standard_normal(m) * 1e3
+            centers = centroid(path)
+            for points, center in zip(path, centers):
+                one = points[0] + (points[1:] - points[0]).sum(axis=0) / len(points)
+                assert np.array_equal(center, one)
+                assert np.array_equal(centroid(points), one)
 
     def test_face_centroids(self):
         s = validate_simplex([(0, 0), (2, 0), (0, 2)])
