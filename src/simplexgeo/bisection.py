@@ -126,14 +126,16 @@ def _edge_error_bound(diam: float, shor: float, m: int) -> float:
     return m / (m + 1.0) * math.sqrt(radicand)
 
 
-def _evaluate(f: SystemFunction, vertex: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        value = np.asarray(f.evaluate(vertex), dtype=float)
-    if value.shape != (f.dimension,) or not np.isfinite(value).all():
-        raise EvaluationFailure(
-            f"{f.name} returned an invalid value at {vertex.tolist()}"
-        )
-    return value
+def _evaluate(f: SystemFunction, vertex: np.ndarray) -> list:
+    """f at ``vertex`` as a list of floats; raises EvaluationFailure unless it
+    is a vector of ``f.dimension`` finite components.  Runs under ``solve``'s
+    errstate, so an overflow inside f shows as a non-finite component."""
+    value = np.asarray(f.evaluate(vertex), dtype=float)
+    if value.shape == (f.dimension,):
+        value = value.tolist()
+        if all(map(math.isfinite, value)):
+            return value
+    raise EvaluationFailure(f"{f.name} returned an invalid value at {vertex.tolist()}")
 
 
 def _worst_value(low: list, high: list) -> float | None:
@@ -165,13 +167,24 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     ``shifted-identity-2d`` cycles between two simplices from depth 108 on,
     with the bound at 4.9e-17 and 3.7e-17.
 
-    Each step evaluates f once, at the midpoint; both children and their
-    vertex values are split by ``bisect``'s rule into stacked arrays, and
-    one min and max pass over those values decides both children.  Only
-    the kept child's edge lengths are updated: it differs from its parent
-    in one vertex, so one row and column of the carried length matrix are
-    recomputed from coordinates.  Barycenters and step records are formed
-    once, after the loop.
+    Each step evaluates f once, at the midpoint, and splits the vertices by
+    ``bisect``'s rule.  The vertex values are carried as m+1 lists of
+    floats: a child's are its parent's with the midpoint's values at row i
+    (lower) or row j (upper), and a per-component min and max over those
+    lists decides each child.  Only the kept child's edge lengths are
+    updated: it differs from its parent in one vertex, so one row and
+    column of the carried length matrix are recomputed from coordinates.
+    Barycenters and step records are formed once, after the loop.
+
+    One errstate covers the run, from the start evaluations to the final
+    one, so an f that overflows gives a non-finite value, which raises
+    EvaluationFailure, and no numpy warning.  The solver's own arithmetic
+    cannot overflow for a validated start: a midpoint 0.5 * (a + b)
+    overflows only if |a| and |b| exceed 8.9e307, where one ulp, about
+    2e292, is far above the 1.3e154 extent the range rule allows, so a == b
+    and the rank test has refused the simplex.  Children only shrink, so
+    the recomputed lengths stay in range, and ``extremal_edges`` still
+    raises OverflowError on an infinite longest edge.
     """
     if s0.m != s0.n or s0.n != f.dimension:
         raise DimensionMismatch(
@@ -184,38 +197,38 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     m, rows = s0.m, s0.vertices
     profile = edge_profile(s0)
     lengths, edge, diam0 = profile.lengths.copy(), profile.diam_edge, profile.diam
-    values = np.vstack([_evaluate(f, v) for v in rows])
     bound = _edge_error_bound(profile.diam, profile.shor, m)
     path, records = [rows], [(None, profile.diam, profile.shor, bound)]
-    while bound > tol and len(path) <= max_iter:
-        pair = _children(rows, edge)
-        pair_values = np.array((values, values))
-        pair_values[0, edge[0]] = pair_values[1, edge[1]] = _evaluate(f, pair[0, edge[0]])
-        lows, highs = pair_values.min(axis=1).tolist(), pair_values.max(axis=1).tolist()
-        lower, upper = map(_worst_value, lows, highs)
-        if lower is None and upper is None:
-            raise NoSignCriterion(
-                f"neither child keeps a sign change for {f.name} at depth {len(path) - 1}"
-            )
-        # The lower child wins ties.
-        k = int(lower is None or (upper is not None and upper < lower))
-        rows, values, r = pair[k], pair_values[k], edge[k]
-        # The kept child differs from its parent in row r alone.
-        gaps = rows - rows[r]
-        lengths[r] = lengths[:, r] = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-        diam, shor, edge, _ = extremal_edges(lengths)
-        bound = _edge_error_bound(diam, shor, m)
-        path.append(rows)
-        records.append((("lower", "upper")[k], diam, shor, bound))
-    centers = centroid(np.array(path))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = [_evaluate(f, v) for v in rows]
+        while bound > tol and len(path) <= max_iter:
+            pair = _children(rows, edge)
+            mid = _evaluate(f, pair[0, edge[0]])
+            child_values = [values[:r] + [mid] + values[r + 1 :] for r in edge]
+            lower, upper = (_worst_value([*map(min, *v)], [*map(max, *v)]) for v in child_values)
+            if lower is None and upper is None:
+                raise NoSignCriterion(
+                    f"neither child keeps a sign change for {f.name} at depth {len(path) - 1}"
+                )
+            # The lower child wins ties.
+            k = int(lower is None or (upper is not None and upper < lower))
+            rows, values, r = pair[k], child_values[k], edge[k]
+            # The kept child differs from its parent in row r alone.
+            gaps = rows - rows[r]
+            lengths[r] = lengths[:, r] = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+            diam, shor, edge, _ = extremal_edges(lengths)
+            bound = _edge_error_bound(diam, shor, m)
+            path.append(rows)
+            records.append((("lower", "upper")[k], diam, shor, bound))
+        centers = centroid(np.array(path))
+        approximation = centers[-1]
+        value = _evaluate(f, approximation)
     steps = [
         BisectionStep(depth, choice, diam, shor, bound, _kearfott(depth, m, diam0), center)
         for depth, ((choice, diam, shor, bound), center) in enumerate(zip(records, centers))
     ]
-    approximation = centers[-1]
-    value = _evaluate(f, approximation)
     # norm's sum of squares overflows for components near 1e154, hypot does not.
-    residual = float(np.linalg.norm(value)) if abs(value).max() < 1e153 else math.hypot(*value)
+    residual = float(np.linalg.norm(value)) if max(map(abs, value)) < 1e153 else math.hypot(*value)
     return BisectionTrace(
         steps=steps,
         final_approximation=approximation,

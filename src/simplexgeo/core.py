@@ -36,8 +36,16 @@ REGULAR_RTOL = 1e-9
 
 
 def as_point(coords) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array with at least one coordinate."""
-    p = np.asarray(coords, dtype=float)
+    """Coerce to a finite 1-D float64 array with at least one coordinate.
+
+    Coordinates must be real: bool, integer, float or, converted entry by
+    entry, Python objects.  Strings, complex numbers and times raise
+    InvalidPoint rather than being parsed, truncated or read as counts.
+    """
+    p = np.asarray(coords)
+    if p.dtype.kind not in "biufO":
+        raise InvalidPoint("point coordinates must be real numbers")
+    p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise InvalidPoint("a point must be a non-empty 1-D coordinate list")
     if not np.all(np.isfinite(p)):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -341,6 +342,55 @@ class TestSolve:
         assert trace.steps[0].child_choice is None
 
 
+class TestErrstate:
+    """``solve`` opens one errstate for the whole run and leaves the caller's."""
+
+    @pytest.mark.parametrize(
+        "system, outcome",
+        [
+            (BUILTIN_SYSTEMS["linear-0.7"], BisectionTrace),
+            (BUILTIN_SYSTEMS["no-root-1d"], NoSignCriterion),
+            (SystemFunction(1, lambda x: x * np.nan, "bad"), EvaluationFailure),
+        ],
+        ids=["returns", "no-sign-criterion", "evaluation-failure"],
+    )
+    def test_caller_error_state_is_restored(self, system, outcome):
+        before = np.geterr()
+        segment = validate_simplex([[0.0], [1.0]])
+        with np.errstate(over="raise", invalid="raise"):
+            inside = np.geterr()
+            assert type(run_or_raise(solve, system, segment, 1e-6, 50)) is outcome
+            assert np.geterr() == inside
+        assert np.geterr() == before
+
+    def test_python_float_overflow_fails_without_warning(self):
+        # Python float arithmetic overflows to inf silently; numpy has no part in it.
+        system = SystemFunction(1, lambda x: [float(x[0]) * 1e308 * 1e308], "python-inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationFailure, match=r"python-inf .* invalid value at \[1.0\]$"):
+                solve(system, validate_simplex([[0.0], [1.0]]), 1e-6, 10)
+
+    def test_start_far_from_the_origin_runs_without_warning(self):
+        # Near 1e300 one ulp is about 1.5e284, so no simplex there passes the
+        # range rule: a squared extent near (1e284)**2 overflows.
+        with pytest.raises(OverflowError):
+            validate_simplex([[1e300, 1e300], [1e300 + 2e284, 1e300], [1e300, 1e300 + 2e284]])
+        # Near 1e160 an extent of 5e153 passes, with the midpoints, squared
+        # lengths and values all close to the top of the float range.
+        start = validate_simplex(1e160 + np.vstack([np.zeros(2), 5e153 * np.eye(2)]))
+        center = start.vertices.mean(axis=0)
+        system = SystemFunction(2, lambda x: x - center, "far-2d")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(system, start, 1e148, 200)
+        assert trace.converged
+        for step in trace.steps:
+            assert math.isfinite(step.diam) and step.shor > 0.0
+            assert np.isfinite(step.barycenter).all()
+        assert math.isfinite(trace.residual_norm)
+
+
 def reference_solve(f, s0, tol, max_iter):
     """The two-pass step rule that ``solve`` replaced, kept as a reference.
 
@@ -439,6 +489,13 @@ def assert_matches_reference(system, s0, tol=1e-10, max_iter=400):
     return got
 
 
+def spike_system(at_origin, elsewhere):
+    """f is ``at_origin`` at the origin and ``elsewhere`` at every other point."""
+    return SystemFunction(
+        len(at_origin), lambda x: at_origin if not x.any() else elsewhere, "spike"
+    )
+
+
 class TestStepRule:
     @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
     def test_builtin_systems_from_seeded_starts(self, name):
@@ -516,3 +573,39 @@ class TestStepRule:
         system = SystemFunction(1, lambda x: x - 0.3, "upper-only")
         trace = assert_matches_reference(system, validate_simplex([[0.0], [1.0]]), 1e-6, 50)
         assert trace.steps[1].child_choice == "upper"
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_exact_zero_at_a_vertex(self, m):
+        rng = np.random.default_rng(1900 + m)
+        start = random_simplex(rng, m, m, 1.0)
+        for v in start.vertices:
+            # Every component is 0 at v, then only the first one.
+            a = rng.standard_normal((m, m)) + m * np.eye(m)
+            zero_all = SystemFunction(m, lambda x, a=a, v=v: a @ (x - v), "zero-all")
+            assert_matches_reference(zero_all, start)
+            root = np.concatenate([v[:1], rng.uniform(-1.0, 1.0, m - 1)])
+            assert_matches_reference(SystemFunction(m, lambda x, r=root: x - r, "zero-one"), start)
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_values_exactly_at_the_sign_threshold(self, m):
+        # Every worst |value| is `big`, so zero is the same for every child;
+        # a component at exactly +zero or -zero at the origin counts as both
+        # signs, and one ulp beyond it does not.
+        corner = validate_simplex(np.vstack([np.zeros(m), np.eye(m)]))
+        big = 3.0
+        zero = 1e-12 * (1.0 + big)
+        for signs in (np.resize([1.0, -1.0], m), np.resize([-1.0, 1.0], m)):
+            at = spike_system(signs * zero, signs * big)
+            assert assert_matches_reference(at, corner).converged
+            beyond = spike_system(signs * np.nextafter(zero, math.inf), signs * big)
+            failure = assert_matches_reference(beyond, corner)
+            assert isinstance(failure, NoSignCriterion) and str(failure).endswith("at depth 0")
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_equal_worst_values_keep_the_lower_child(self, m):
+        # The first split edge runs from -e1 to e1, so both children hold the
+        # zero at the origin and both have worst |value| 1.
+        start = validate_simplex(np.vstack([-np.eye(m)[:1], np.eye(m)]))
+        trace = assert_matches_reference(spike_system(np.zeros(m), np.ones(m)), start)
+        assert trace.converged
+        assert trace.steps[1].child_choice == "lower"

@@ -261,6 +261,34 @@ class TestValidateMatchesReference:
                 assert validation_outcome(validate_simplex, vertices.tolist()) == want
 
 
+# Inputs whose coordinates are strings, complex numbers or times: as_point
+# refuses each, rather than parsing it, dropping its imaginary part or
+# reading it as a count.
+NOT_REAL = [
+    "strings-lists", "strings-array", "bad-strings-lists", "bad-strings-array",
+    "object-string-lists", "complex-lists", "complex-array", "complex-real-array", "datetime",
+]
+
+
+@pytest.mark.parametrize("name", NOT_REAL)
+def test_coordinates_that_are_not_real_raise_invalid_point(name):
+    vertices = dict(hostile_inputs())[name]
+    assert validation_outcome(validate_simplex, vertices) == (
+        InvalidPoint, "point coordinates must be real numbers"
+    )
+
+
+def test_real_coordinates_of_every_kind_convert():
+    for coords, want in (
+        ([True, 2], [1.0, 2.0]),
+        (np.array([3, 4], dtype=np.uint16), [3.0, 4.0]),
+        (np.array([0.5, 10**30], dtype=object), [0.5, 1e30]),
+        (np.array([0.25], dtype=np.float32), [0.25]),
+    ):
+        p = as_point(coords)
+        assert p.dtype == np.float64 and p.tolist() == want
+
+
 class TestEdgeProfile:
     def test_corner_triangle_lengths(self):
         s = validate_simplex([(0, 0), (2, 0), (0, 2)])

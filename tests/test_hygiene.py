@@ -24,7 +24,12 @@ def test_no_unused_imports(path):
             for alias in node.names:
                 # "import a.b" binds "a"; "as" binds the alias.
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # A name that is only assigned, such as a dataclass field, is not a use.
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Load, ast.Del))
+    }
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
