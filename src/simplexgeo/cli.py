@@ -18,11 +18,10 @@ a failed self-check, a singular system), 2 parse or argument error,
 3 degenerate input, 4 enumeration cap exceeded, 5 iteration budget
 exhausted, 6 no child satisfied the sign criterion, 7 unknown system
 function.  Every failure prints from that table: one ``error:`` line on
-stderr instead of a traceback; so does the package's own
-``IllConditioned`` warning, with code 1, when the interpreter's warning
-filter turns it into an error.  Any other warning so raised, numpy's
-included, propagates.  Code 5 alone is returned, not raised, because its
-envelope still prints.
+stderr instead of a traceback.  The package emits no warning, so stderr
+is empty on exit 0; a warning that the interpreter's filter turns into an
+error, numpy's included, is not mapped and propagates.  Code 5 alone is
+returned, not raised, because its envelope still prints.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .errors import (
     CapExceeded,
     Degenerate,
     DimensionMismatch,
-    IllConditioned,
     IndexOutOfRange,
     InvalidDimension,
     InvalidPoint,
@@ -77,8 +75,7 @@ _EXIT_CODES = (
     (CapExceeded, EXIT_CAP),
     (NoSignCriterion, EXIT_NO_SIGN),
     (UnknownFunction, EXIT_UNKNOWN_FUNCTION),
-    # IllConditioned, a warning, raises only when the warning filter escalates it.
-    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError, IllConditioned), EXIT_FAILURE),
+    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError), EXIT_FAILURE),
 )
 
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The package defines and emits no warning: every failure is raised as one
+of these errors, or as a built-in arithmetic or value error.
+"""
 
 
 class SimplexError(Exception):
@@ -72,10 +76,3 @@ class ParseError(SimplexError):
 class UnknownFunction(SimplexError):
     """A named system function is not among the built-in ones."""
 
-
-class IllConditioned(RuntimeWarning):
-    """A result was computed from an ill-conditioned factor.
-
-    A warning, not an error: the result is returned.  ``cli.main`` exits 1
-    only when the interpreter's warning filter raises it.
-    """

@@ -14,8 +14,20 @@ def _dot(u, v):
 
 def solve(matrix, rhs):
     """Exact solution of a nonsingular square system, by Gaussian elimination."""
-    size = len(rhs)
-    rows = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    return [row[0] for row in _solve_rows(matrix, [[b] for b in rhs])]
+
+
+def inverse(matrix):
+    """Exact inverse of a nonsingular square matrix, by the same elimination."""
+    size = len(matrix)
+    return _solve_rows(matrix, [[int(i == j) for j in range(size)] for i in range(size)])
+
+
+def _solve_rows(matrix, rhs):
+    """Exact X with matrix @ X = rhs, the right-hand sides given as rows."""
+    size = len(matrix)
+    rows = [[Fraction(a) for a in row] + [Fraction(b) for b in extra]
+            for row, extra in zip(matrix, rhs)]
     for col in range(size):
         pivot = next(r for r in range(col, size) if rows[r][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -23,9 +35,11 @@ def solve(matrix, rhs):
             factor = rows[r][col] / rows[col][col]
             if factor:
                 rows[r][col:] = [a - factor * b for a, b in zip(rows[r][col:], rows[col][col:])]
-    x = [Fraction(0)] * size
+    x = [None] * size
     for r in reversed(range(size)):
-        x[r] = (rows[r][size] - _dot(rows[r][r + 1 : size], x[r + 1 :])) / rows[r][r]
+        tail = rows[r][r + 1 : size]
+        x[r] = [(b - _dot(tail, [row[k] for row in x[r + 1 :]])) / rows[r][r]
+                for k, b in enumerate(rows[r][size:])]
     return x
 
 
@@ -43,6 +57,21 @@ def circumcenter(points):
     offset = [_dot(x, column) for column in zip(*edges)] if edges else [Fraction(0)] * len(first)
     center = [a + b for a, b in zip(first, offset)]
     return center, [1 - sum(x)] + x, _dot(offset, offset)
+
+
+def squared_inverse_altitudes(points):
+    """Exact 1/h_i^2 for every vertex i of a simplex, h_i its altitude.
+
+    With G the Gram matrix of the edges e_j = p_j - p_0, the gradients of
+    the barycentric coordinates lambda_1..lambda_m within the affine hull
+    are the rows of G^-1 E, so 1/h_i^2 = |grad lambda_i|^2 = (G^-1)_ii for
+    i >= 1.  The gradient of lambda_0 is minus their sum, so 1/h_0^2 is
+    the sum of every entry of G^-1.
+    """
+    first, *rest = [[Fraction(a) for a in p] for p in points]
+    edges = [[a - b for a, b in zip(p, first)] for p in rest]
+    inv = inverse([[_dot(e, f) for f in edges] for e in edges])
+    return [sum(map(sum, inv))] + [inv[i][i] for i in range(len(inv))]
 
 
 def squared_distances(points, center):

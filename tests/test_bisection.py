@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,11 +25,14 @@ from simplexgeo.bisection import BisectionStep, BisectionTrace
 from simplexgeo.core import Simplex
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
+    Degenerate,
     DimensionMismatch,
     EvaluationFailure,
     NoSignCriterion,
     SimplexError,
 )
+
+import exact
 
 
 class TestBisect:
@@ -130,6 +134,29 @@ class TestBounds:
                 s = lower if rng.random() < 0.5 else upper
                 assert edge_profile(s).diam <= kearfott_bound(p, m, diam0) + 1e-12
 
+    def test_kearfott_decay_is_exact_on_dyadic_simplices(self):
+        # Coordinates k / 2^10 gain one bit per split, so every midpoint is
+        # exact, the float path is the exact path, and the squared decay
+        # diam_p^2 <= (3/4)^(p // m) diam_0^2 holds in rationals, no slack.
+        rng = np.random.default_rng(4343)
+        worst = Fraction(0)
+        for m in range(1, 6):
+            for _ in range(16):
+                s = dyadic_simplex(rng, m, m + int(rng.integers(0, 2)))
+                diam0 = exact_squared_diam(s)
+                for p in range(1, 6 * m + 1):
+                    i, j = edge_profile(s).diam_edge
+                    midpoint = [(Fraction(a) + Fraction(b)) / 2
+                                for a, b in zip(s.vertices[i], s.vertices[j])]
+                    lower, upper = bisect(s)
+                    s, r = (lower, i) if rng.random() < 0.5 else (upper, j)
+                    assert list(map(Fraction, s.vertices[r])) == midpoint
+                    ratio = exact_squared_diam(s) / (Fraction(3, 4) ** (p // m) * diam0)
+                    assert ratio <= 1, (m, p)
+                    worst = max(worst, ratio)
+        # Some path comes close to the bound, so it is not vacuous.
+        assert worst > Fraction(9, 10)
+
     def test_containment_along_walk(self):
         rng = np.random.default_rng(515)
         s = random_simplex(rng, 3, 3)
@@ -140,6 +167,19 @@ class TestBounds:
             center = barycenter(s)
             worst = float(np.linalg.norm(s.vertices - center, axis=1).max())
             assert worst <= containment_bound(p, 3, diam0) + 1e-12
+
+
+def dyadic_simplex(rng, m, n):
+    """A random m-simplex in R^n with coordinates k / 2^10, |k| <= 512."""
+    while True:
+        try:
+            return validate_simplex(rng.integers(-512, 513, size=(m + 1, n)) / 1024)
+        except Degenerate:
+            continue
+
+
+def exact_squared_diam(s):
+    return max(max(exact.squared_distances(s.vertices, list(map(Fraction, v)))) for v in s.vertices)
 
 
 # Roots that x - root keeps inside the corner simplex (the origin and the unit

@@ -612,15 +612,18 @@ class TestDeterminism:
         assert d1 == d3
 
     def test_cross_process_bytes(self, tmp_path):
-        path = write_simplex(tmp_path, "tri.json", [(0.7, 0.2), (2.1, 0.3), (0.4, 1.8)])
-        # pytest's warning filter does not reach a child process; -W does.
-        cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "simplexgeo.cli",
-               "analyze", str(path)]
-        first = subprocess.run(cmd, capture_output=True, check=True)
-        second = subprocess.run(cmd, capture_output=True, check=True)
-        assert first.stdout == second.stdout
-        assert first.stdout.endswith(b"\n")
-        assert first.stderr == second.stderr == b""
+        tri = write_simplex(tmp_path, "tri.json", [(0.7, 0.2), (2.1, 0.3), (0.4, 1.8)])
+        # The thin triangle's edge factor has condition 3.3e8.
+        thin = write_simplex(tmp_path, "thin.json", [(0, 0), (1, 0), (0, 3e-9)])
+        for path in (tri, thin):
+            # pytest's warning filter does not reach a child process; -W does.
+            cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "simplexgeo.cli",
+                   "analyze", str(path)]
+            first = subprocess.run(cmd, capture_output=True, check=True)
+            second = subprocess.run(cmd, capture_output=True, check=True)
+            assert first.stdout == second.stdout
+            assert first.stdout.endswith(b"\n") and first.stdout.count(b"\n") == 1
+            assert first.stderr == second.stderr == b""
 
 
 def assert_clean_error(out, err):
@@ -697,17 +700,9 @@ class TestNumericalFailure:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "underflow" in err
 
-    def test_escalated_warning(self, tmp_path, capsys):
-        # The incenter's condition-number warning, raised by pytest's filter.
-        path = write_simplex(tmp_path, "thin.json", [(0, 0), (1, 0), (0, 3e-9)])
-        code, out, err = run_cli(["analyze", str(path)], capsys)
-        assert code == EXIT_FAILURE
-        assert_clean_error(out, err)
-        assert err == "error: edge factor condition number 3.333e+08 exceeds 1e8\n"
-
     def test_numpy_warning_propagates(self, tmp_path, monkeypatch):
-        # Only the package's own warning maps to exit 1, so a numpy warning
-        # escalated inside a command still fails the caller's filter.
+        # No warning maps to an exit code, so a numpy warning escalated
+        # inside a command still fails the caller's filter.
         def overflow(points):
             return np.exp(np.float64(1000.0))
 

@@ -1,6 +1,7 @@
 """Static checks on the package source that need no linter."""
 
 import ast
+import importlib
 import itertools
 import sys
 from pathlib import Path
@@ -47,6 +48,26 @@ def test_imports_only_stdlib_and_numpy(path):
             imported.add(node.module)
     foreign = sorted(name for name in imported if name.split(".")[0] not in allowed)
     assert not foreign, f"{path.name} imports beyond the stdlib and numpy: {', '.join(foreign)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_warning_channel(path):
+    """No module imports ``warnings`` or defines a Warning subclass, so the
+    package itself never writes to stderr on exit 0."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "warnings" not in imported, f"{path.name} imports warnings"
+    module = importlib.import_module(f"{PACKAGE.name}.{path.stem}")
+    warning_types = [
+        name for name, value in vars(module).items()
+        if isinstance(value, type) and issubclass(value, Warning) and value.__module__ == module.__name__
+    ]
+    assert not warning_types, f"{path.name} defines warnings: {', '.join(warning_types)}"
 
 
 def test_readme_exit_codes_match_cli():

@@ -1,6 +1,8 @@
+import decimal
 import math
 import time
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from simplexgeo.errors import (
 )
 from simplexgeo.metrics import _hull_weights
 
+import exact
 from conftest import random_rigid_motion
 
 
@@ -200,16 +203,13 @@ class TestExactInradius:
         with pytest.raises(NotFullDimensional):
             exact_inradius_fulldim(regular_simplex(2, 3, 1.0))
 
-    def test_warns_on_ill_conditioned_edges(self):
-        # Passes the rank gate, but the edge factor has condition 3.3e8.
-        needle = validate_simplex([(0, 0), (1, 0), (0, 3e-9)])
-        with pytest.warns(RuntimeWarning, match="condition number"):
-            exact_inradius_fulldim(needle)
-
     def test_no_warning_when_well_conditioned(self):
+        # The needle passes the rank gate; its edge factor has condition 3.3e8.
+        needle = validate_simplex([(0, 0), (1, 0), (0, 3e-9)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            exact_inradius_fulldim(corner_triangle())
+            for s in (corner_triangle(), needle):
+                exact_inradius_fulldim(s)
 
 
 class TestWidthBounds:
@@ -394,6 +394,64 @@ class TestHullDistanceAgainstReference:
             value, _ = barycentric_inradius(regular_simplex(m, m, 1.0))
             assert time.perf_counter() - start < 0.5
             assert value == pytest.approx(1 / math.sqrt(2 * m * (m + 1)), abs=1e-12)
+
+
+# The accuracy stated in exact_inradius_fulldim's docstring and the README:
+# both inradii within C1 kappa eps relative, the incenter within C2 kappa eps r.
+INRADIUS_KAPPA_C1 = 2.0
+INCENTER_KAPPA_C2 = 32.0
+
+
+def thin_simplices(seed: int, depths):
+    """Thin m-simplices in R^m, m = 2..8, one per squash depth d and m.
+
+    A regular simplex with its vertices moved by up to 0.1, rigidly moved,
+    is squashed by 10^-d along a random direction, so kappa grows as 10^d.
+    """
+    rng = np.random.default_rng(seed)
+    for m in range(2, 9):
+        for depth in depths:
+            base = regular_simplex(m, m, 1.0).vertices + rng.uniform(-0.1, 0.1, size=(m + 1, m))
+            rotation, shift = random_rigid_motion(rng, m)
+            base = base @ rotation.T + shift
+            axis = rng.normal(size=m)
+            axis /= np.linalg.norm(axis)
+            yield validate_simplex(base + (10.0**-depth - 1.0) * np.outer(base @ axis, axis))
+
+
+def test_incenter_within_kappa_eps_of_exact():
+    """The float inradii and incenter against exact rational arithmetic.
+
+    ``tests/exact.py`` gives each 1/h_i^2 exactly from the inverse Gram
+    matrix; the square roots and the incenter are then taken to 60
+    digits.  kappa = ||R||_F ||R^-1||_F of the edge factor, from numpy.
+    """
+    eps = np.finfo(float).eps
+    kappas, worst_radius, worst_center = [], 0.0, 0.0
+    for s in thin_simplices(2020, np.linspace(3.5, 8.2, 12)):
+        factor = np.linalg.qr((s.vertices[1:] - s.vertices[0]).T, mode="r")
+        kappa = float(np.linalg.norm(factor) * np.linalg.norm(np.linalg.inv(factor)))
+        center, radius = exact_inradius_fulldim(s)
+        barycentric, _ = barycentric_inradius(s)
+        with decimal.localcontext(prec=60):
+            inv_h = [(Decimal(q.numerator) / q.denominator).sqrt()
+                     for q in exact.squared_inverse_altitudes(s.vertices.tolist())]
+            exact_radius = 1 / sum(inv_h)
+            exact_barycentric = 1 / ((s.m + 1) * max(inv_h))
+            first, *rest = [[Decimal(a) for a in v] for v in s.vertices.tolist()]
+            exact_center = [a + exact_radius * sum(w * (v[k] - a) for w, v in zip(inv_h[1:], rest))
+                            for k, a in enumerate(first)]
+            radius_error = float(max(abs(Decimal(radius) - exact_radius) / exact_radius,
+                                     abs(Decimal(barycentric) - exact_barycentric) / exact_barycentric))
+            center_error = math.hypot(*(float(Decimal(a) - b)
+                                        for a, b in zip(center.tolist(), exact_center)))
+        kappas.append(kappa)
+        worst_radius = max(worst_radius, radius_error / (kappa * eps))
+        worst_center = max(worst_center, center_error / (kappa * eps * float(exact_radius)))
+    assert worst_radius <= INRADIUS_KAPPA_C1, worst_radius
+    assert worst_center <= INCENTER_KAPPA_C2, worst_center
+    # The draws span the stated range of kappa.
+    assert min(kappas) > 1e3 and max(kappas) > 3e8
 
 
 def stretched_simplices(seed: int, count: int):
