@@ -71,21 +71,18 @@ def bisect(s: Simplex) -> tuple[Simplex, Simplex]:
     every other vertex keeps its position, so the two children share
     the splitting facet and partition the parent.
     """
-    pair = _children(s.vertices, edge_profile(s).diam_edge)
-    # Children of a valid simplex stay affinely independent (one row of
-    # the difference matrix is halved, and the rank test is relative), so
-    # the ingestion gate is not re-run: it would cost an SVD per child.
-    return Simplex(pair[0]), Simplex(pair[1])
+    rows, (i, j) = s.vertices, edge_profile(s).diam_edge
+    mid = 0.5 * (rows[i] + rows[j])
+    # Children of a valid simplex stay affinely independent (one row of the
+    # difference matrix is halved; the rank test is relative): no SVD per child.
+    return Simplex(_child(rows, i, mid)), Simplex(_child(rows, j, mid))
 
 
-def _children(rows: np.ndarray, edge: tuple) -> np.ndarray:
-    """Both children of the split rule stacked as a (2, m+1, n) array: with
-    edge (i, j), the lower child [0] replaces row i and the upper child [1]
-    row j by the midpoint of rows i and j."""
-    i, j = edge
-    pair = np.array((rows, rows))
-    pair[0, i] = pair[1, j] = 0.5 * (rows[i] + rows[j])
-    return pair
+def _child(rows: np.ndarray, r: int, mid: np.ndarray) -> np.ndarray:
+    """A copy of ``rows`` with row r set to ``mid``: of edge (i, j), r = i gives the lower child."""
+    child = rows.copy()
+    child[r] = mid
+    return child
 
 
 def kearfott_bound(p: int, m: int, diam0: float) -> float:
@@ -169,24 +166,22 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     cycles between two simplices from depth 108 on, with the bound at
     4.9e-17 and 3.7e-17.
 
-    Each step evaluates f once, at the midpoint, and splits the vertices by
-    ``bisect``'s rule.  The vertex values are carried as m+1 lists of
-    floats: a child's are its parent's with the midpoint's values at row i
-    (lower) or row j (upper), and a per-component min and max over those
-    lists decides each child.  Only the kept child's edge lengths are
-    updated: it differs from its parent in one vertex, so one row and
-    column of the carried length matrix are recomputed from coordinates.
+    Each step evaluates f once, at the midpoint of ``bisect``'s edge, and
+    builds only the kept child.  Vertex values are carried as m+1 lists of
+    floats: a child's are its parent's with the midpoint's at row i (lower)
+    or row j (upper), and a per-component min and max decides each child.
+    The kept child differs from its parent in one row, so one row and column
+    of the carried length matrix are recomputed from coordinates.
     Barycenters and step records are formed once, after the loop.
 
     One errstate covers the run, from the start evaluations to the final
     one, so an f that overflows gives a non-finite value, which raises
     EvaluationFailure, and no numpy warning.  The solver's own arithmetic
     cannot overflow for a validated start: a midpoint 0.5 * (a + b)
-    overflows only if |a| and |b| exceed 8.9e307, where one ulp, about
-    2e292, is far above the 1.3e154 extent the range rule allows, so a == b
-    and the rank test has refused the simplex.  Children only shrink, so
-    the recomputed lengths stay in range, and ``extremal_edges`` still
-    raises OverflowError on an infinite longest edge.
+    overflows only if |a| and |b| exceed 8.9e307, where one ulp (2e292) is
+    far above the 1.3e154 extent the range rule allows, so a == b and the
+    rank test has refused the simplex.  Children only shrink, so lengths
+    stay in range; ``extremal_edges`` raises OverflowError on an inf diam.
     """
     if s0.m != s0.n or s0.n != f.dimension:
         raise DimensionMismatch(
@@ -204,9 +199,9 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     with np.errstate(over="ignore", invalid="ignore"):
         values = [_evaluate(f, v) for v in rows]
         while bound > tol and len(path) <= max_iter:
-            pair = _children(rows, edge)
-            mid = _evaluate(f, pair[0, edge[0]])
-            child_values = [values[:r] + [mid] + values[r + 1 :] for r in edge]
+            mid = 0.5 * (rows[edge[0]] + rows[edge[1]])
+            mid_value = _evaluate(f, mid)
+            child_values = [values[:r] + [mid_value] + values[r + 1 :] for r in edge]
             lower, upper = (_worst_value([*map(min, *v)], [*map(max, *v)]) for v in child_values)
             if lower is None and upper is None:
                 raise NoSignCriterion(
@@ -214,7 +209,7 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
                 )
             # The lower child wins ties.
             k = int(lower is None or (upper is not None and upper < lower))
-            rows, values, r = pair[k], child_values[k], edge[k]
+            rows, values, r = _child(rows, edge[k], mid), child_values[k], edge[k]
             # The kept child differs from its parent in row r alone.
             gaps = rows - rows[r]
             lengths[r] = lengths[:, r] = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))

@@ -53,6 +53,24 @@ def as_point(coords) -> np.ndarray:
     return p
 
 
+def as_points(rows) -> np.ndarray:
+    """The one coordinate gate of simplices and point sets: a finite (N, n)
+    float64 C array by as_point's rule, or DimensionMismatch for rows of
+    mixed lengths; no rows give a (0, 0) array.  A real 2-D ndarray is
+    checked whole, in at most one float copy; anything else, or an array
+    with an entry that is not finite as a float, row by row, so that every
+    error is the one as_point raises."""
+    real = type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype.kind in "biuf"
+    arr = np.asarray(rows, dtype=float, order="C") if real and rows.size else None
+    if arr is None or not np.isfinite(arr).all():
+        pts = [as_point(v) for v in rows]
+        for p in pts[1:]:
+            if p.size != pts[0].size:
+                raise DimensionMismatch(f"vertices mix coordinate dimensions {pts[0].size} and {p.size}")
+        arr = np.array(pts) if pts else np.empty((0, 0))
+    return arr
+
+
 @dataclass(frozen=True)
 class Simplex:
     """Ordered vertices of a validated m-simplex, stored as an (m+1, n) array."""
@@ -123,23 +141,13 @@ def check_range(pts: np.ndarray) -> None:
 def validate_simplex(vertices) -> Simplex:
     """Build a Simplex after checking shape, finiteness, range and affine rank.
 
-    Raises TooFewPoints, DimensionMismatch, the errors of check_range,
+    Raises the errors of as_points, TooFewPoints, the errors of check_range,
     Degenerate when the difference matrix has a singular value <= RANK_RTOL
     times its largest, and Underflow when the smallest, sv, has sv**2 below
     (m+1) times the smallest normal float.  Edges are >= sv and inverse
     altitudes <= sqrt(m)/sv, so then their squares are in range.
     """
-    # A real 2-D ndarray is checked whole, in at most one float copy;
-    # anything else, or an array with an entry that is not finite as a
-    # float, row by row, so that every error is the one as_point raises.
-    real = type(vertices) is np.ndarray and vertices.ndim == 2 and vertices.dtype.kind in "biuf"
-    arr = np.asarray(vertices, dtype=float, order="C") if real and vertices.size else None
-    if arr is None or not np.isfinite(arr).all():
-        pts = [as_point(v) for v in vertices]
-        for p in pts[1:]:
-            if p.size != pts[0].size:
-                raise DimensionMismatch(f"vertices mix coordinate dimensions {pts[0].size} and {p.size}")
-        arr = np.array(pts)
+    arr = as_points(vertices)
     if len(arr) < 2:
         raise TooFewPoints("a simplex needs at least 2 vertices")
     m, n = len(arr) - 1, arr.shape[1]

@@ -21,6 +21,7 @@ import numpy as np
 from .apollonius import radicands
 from .core import (
     Simplex,
+    as_points,
     barycenter,
     check_int,
     check_positive,
@@ -92,14 +93,9 @@ def jung_bound(diam: float, n: int) -> float:
 
 
 def _coerce_points(points) -> np.ndarray:
-    try:
-        pts = np.asarray(points, dtype=float, order="C")
-    except ValueError as exc:  # ragged rows
-        raise DimensionMismatch("points must share one coordinate dimension") from exc
-    if pts.shape[:1] == (0,):
+    pts = as_points(points)  # validate_simplex's gate
+    if not len(pts):
         raise EmptyInput("point list is empty")
-    if pts.ndim != 2 or not np.isfinite(pts).all():
-        raise DimensionMismatch("points must share one finite coordinate dimension")
     return pts
 
 
@@ -196,7 +192,7 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     """Exact minimum enclosing ball plus the boundary support indices.
 
     The walk runs on the offsets to the first point.  Raises the errors of
-    ``core.check_range``.
+    ``core.as_points``, EmptyInput for no points, and ``core.check_range``'s.
     """
     pts = _coerce_points(points)
     cols = np.ascontiguousarray(pts.T)
@@ -267,9 +263,7 @@ def _largest_over_subsets(points, n: int, radius_of) -> float:
     pts = _coerce_points(points)
     check_int("n", n, 1)
     if pts.shape[1] != n:
-        raise DimensionMismatch(
-            f"points live in R^{pts.shape[1]} but n={n} was requested"
-        )
+        raise DimensionMismatch(f"points live in R^{pts.shape[1]} but n={n} was requested")
     if pts.shape[0] < n + 1:
         raise TooFewPoints(f"need at least {n + 1} points in R^{n}")
     if pts.shape[0] > SUBSET_MAX_POINTS:
@@ -299,6 +293,7 @@ def set_barycentric_circumradius(points, n: int) -> float:
     exact enclosing radius of the whole set never exceeds the result.  A
     subset too small to measure is skipped; when none is left, raises
     Underflow if one was skipped for that, and AllDegenerate otherwise.
+    Raises the errors of ``core.as_points`` and EmptyInput for no points.
     """
     return _largest_over_subsets(
         points, n, lambda sub: barycentric_circumradius(validate_simplex(sub))[0]
@@ -313,7 +308,8 @@ def blumenthal_wahlin_check(points, n: int) -> tuple[float, float]:
     squared distances underflow is skipped, as in
     ``set_barycentric_circumradius``: its radius is below 1.5e-154.  When
     every subset is skipped, raises Underflow rather than report 0.  The
-    whole set keeps the range check.
+    whole set keeps the range check.  Raises the errors of ``core.as_points``
+    and EmptyInput for no points.
     """
     worst = _largest_over_subsets(points, n, lambda sub: exact_meb(sub)[1])
     return worst, exact_meb(points)[1]

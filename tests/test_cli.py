@@ -924,6 +924,12 @@ def test_range_fuzz(tmp_path_factory, invocation):
         path = tmp_path_factory.mktemp("range") / "doc.json"
         path.write_text(json.dumps(document))
         argv = [*argv, str(path)]
+    assert_fuzz_contract(argv)
+
+
+def assert_fuzz_contract(argv):
+    """Run ``main(argv)``: a documented exit code, one envelope or none on
+    stdout, and an ``error:`` line or nothing on stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -937,6 +943,36 @@ def test_range_fuzz(tmp_path_factory, invocation):
     else:
         assert out == "" or code == EXIT_MAX_ITER
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Arbitrary JSON values, non-finite floats and integers far past the float
+# range included, in lists of at most 12 entries.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**1100), 2**1100)
+    | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=12) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=40,
+)
+# Rows of numbers, of one length, so that documents also reach the commands.
+JSON_ROWS = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3) | st.floats(-1e3, 1e3) | st.floats(), min_size=n, max_size=n),
+    max_size=12,
+))
+JSON_DOCUMENTS = JSON_VALUES | st.builds(
+    lambda key, value: {key: value}, st.sampled_from(["vertices", "points"]), JSON_VALUES | JSON_ROWS
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(JSON_DOCUMENTS, st.sampled_from(sorted(bisection.BUILTIN_SYSTEMS)))
+def test_document_fuzz(tmp_path_factory, document, system):
+    """Any JSON document, through every file command, keeps the range
+    fuzz's contract; pytest turns a numpy warning into a failure."""
+    path = tmp_path_factory.mktemp("doc") / "doc.json"
+    path.write_text(json.dumps(document))
+    for argv in (["analyze"], ["enclose"], ["enclose", "--variant-jung", "--bw-check"],
+                 ["solve", system, "--max-iter", "60"]):
+        assert_fuzz_contract([*argv, str(path)])
 
 
 class TestSingleRead:

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from simplexgeo import (
     Simplex,
     barycenter,
+    blumenthal_wahlin_check,
     edge_profile,
+    exact_meb,
     face_centroid,
     regular_simplex,
+    set_barycentric_circumradius,
     sub_face,
     validate_simplex,
     volume,
@@ -19,6 +22,7 @@ from simplexgeo.core import (
     RANK_RTOL,
     _inf_diagonal,
     as_point,
+    as_points,
     centroid,
     check_range,
     edge_spread,
@@ -27,8 +31,10 @@ from simplexgeo.core import (
 )
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
+    AllDegenerate,
     Degenerate,
     DimensionMismatch,
+    EmptyInput,
     IndexOutOfRange,
     InvalidDimension,
     InvalidPoint,
@@ -276,6 +282,60 @@ def test_coordinates_that_are_not_real_raise_invalid_point(name):
     assert validation_outcome(validate_simplex, vertices) == (
         InvalidPoint, "point coordinates must be real numbers"
     )
+    for point_set in POINT_SET_FUNCTIONS.values():
+        assert point_set_outcome(point_set, vertices) == (
+            InvalidPoint, "point coordinates must be real numbers"
+        )
+
+
+def _width(rows) -> int:
+    """The coordinate count of rows that the gate admits, else 1: the
+    subset bounds need an n, and check the rows before they check it."""
+    try:
+        return max(as_points(rows).shape[1], 1)
+    except Exception:
+        return 1
+
+
+POINT_SET_FUNCTIONS = {
+    "exact_meb": exact_meb,
+    "set_barycentric_circumradius": lambda rows: set_barycentric_circumradius(rows, _width(rows)),
+    "blumenthal_wahlin_check": lambda rows: blumenthal_wahlin_check(rows, _width(rows)),
+}
+
+# Checks that apply to simplices alone: a point set may pass them or fail
+# them differently, once the coordinate gate has admitted its rows.
+SIMPLEX_ONLY = (TooFewPoints, Degenerate, Underflow, OverflowError)
+# How a point set may end once the gate has admitted its rows.
+POINT_SET_ONLY = (EmptyInput, TooFewPoints, AllDegenerate, Underflow)
+
+
+def point_set_outcome(point_set, rows):
+    """The error class and message, or None when the function returns."""
+    try:
+        point_set(rows)
+    except Exception as exc:  # the suite turns RuntimeWarnings into errors too
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("function", sorted(POINT_SET_FUNCTIONS))
+@pytest.mark.parametrize("rows", [pytest.param(v, id=name) for name, v in hostile_inputs()])
+def test_point_sets_pass_the_simplex_gate(rows, function):
+    """Each point-set function raises validate_simplex's error, class and
+    message, or the simplex fails only at a check of simplices alone."""
+    want = validation_outcome(validate_simplex, rows)
+    got = point_set_outcome(POINT_SET_FUNCTIONS[function], rows)
+    if got == want:
+        return
+    assert len(want) == 5 or issubclass(want[0], SIMPLEX_ONLY), (want, got)
+    assert got is None or issubclass(got[0], POINT_SET_ONLY), (want, got)
+
+
+def test_gate_shapes():
+    assert as_points([]).shape == as_points(np.zeros((0, 3))).shape == (0, 0)
+    parsed = np.array([[0.0, 1.0], [2.0, 3.0]])  # as fileio passes rows
+    assert as_points(parsed) is parsed
 
 
 def test_real_coordinates_of_every_kind_convert():

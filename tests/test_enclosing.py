@@ -31,6 +31,7 @@ from simplexgeo.errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidDimension,
+    InvalidPoint,
     NotRegular,
     TooFewPoints,
     Underflow,
@@ -197,21 +198,23 @@ class TestExactMeb:
         with pytest.raises(CapExceeded):
             exact_meb(np.random.default_rng(0).uniform(size=(10001, 2)))
 
+    # Rows pass validate_simplex's gate: mixed lengths are a DimensionMismatch,
+    # and a row that is not a finite 1-D coordinate list an InvalidPoint.
     @pytest.mark.parametrize(
-        "points",
+        "points, error",
         [
-            [[0.0, 0.0], [1.0]],
-            [[0.0, 0.0], [1.0, 2.0, 3.0]],
-            [[0.0, 0.0], [float("nan"), 1.0]],
-            [[0.0, float("inf")]],
-            [1.0, 2.0, 3.0],
-            np.array([1.0, 2.0]),
-            [[[0.0, 0.0]]],
+            ([[0.0, 0.0], [1.0]], DimensionMismatch),
+            ([[0.0, 0.0], [1.0, 2.0, 3.0]], DimensionMismatch),
+            ([[0.0, 0.0], [float("nan"), 1.0]], InvalidPoint),
+            ([[0.0, float("inf")]], InvalidPoint),
+            ([1.0, 2.0, 3.0], InvalidPoint),
+            (np.array([1.0, 2.0]), InvalidPoint),
+            ([[[0.0, 0.0]]], InvalidPoint),
         ],
         ids=["ragged", "ragged-long", "nan", "inf", "flat-list", "flat-array", "3d"],
     )
-    def test_malformed_points(self, points):
-        with pytest.raises(DimensionMismatch):
+    def test_malformed_points(self, points, error):
+        with pytest.raises(error):
             exact_meb(points)
 
     def test_empty_array(self):
