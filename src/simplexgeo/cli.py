@@ -40,7 +40,6 @@ from . import bisection, corpus, enclosing, fileio, metrics
 from .apollonius import median_length, median_sums
 from .core import Simplex, regular_simplex
 from .errors import (
-    AllDegenerate,
     CapExceeded,
     Degenerate,
     DimensionMismatch,
@@ -71,7 +70,7 @@ EXIT_UNKNOWN_FUNCTION = 7
 _EXIT_CODES = (
     ((OSError, ParseError, InvalidPoint, TooFewPoints), EXIT_PARSE),
     ((DimensionMismatch, InvalidDimension, IndexOutOfRange), EXIT_PARSE),
-    ((Degenerate, AllDegenerate, NegativeRadicand), EXIT_DEGENERATE),
+    ((Degenerate, NegativeRadicand), EXIT_DEGENERATE),
     (CapExceeded, EXIT_CAP),
     (NoSignCriterion, EXIT_NO_SIGN),
     (UnknownFunction, EXIT_UNKNOWN_FUNCTION),

@@ -40,15 +40,21 @@ def generate(
 ) -> list:
     """Deterministic list of random simplices for a given seed.
 
-    When m or n is None each draw picks its own value in the ranges above.
+    When m or n is None each draw picks its own value in the ranges above,
+    with m <= n when only n is given.  Raises InvalidDimension for a seed
+    below 0, a count below 0 or an n below 1.
     """
+    check_int("seed", seed, 0)
     check_int("count", count, 0)
-    if n is None and m is not None and m > N_MAX:
+    if n is not None:
+        check_int("n", n, 1)
+    elif m is not None and m > N_MAX:
         raise InvalidDimension(f"m = {m} exceeds n_max = {N_MAX}, the largest drawn n; give n too")
+    m_max = M_MAX if n is None else min(M_MAX, n)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        mi = int(m) if m is not None else int(rng.integers(1, M_MAX + 1))
+        mi = int(m) if m is not None else int(rng.integers(1, m_max + 1))
         ni = int(n) if n is not None else int(rng.integers(mi, N_MAX + 1))
         out.append(random_simplex(rng, mi, ni, coord_range))
     return out

@@ -29,12 +29,9 @@ from .core import (
     edge_profile,
     require_regular,
     squared_distance_matrix,
-    validate_simplex,
 )
 from .errors import (
-    AllDegenerate,
     CapExceeded,
-    Degenerate,
     DimensionMismatch,
     EmptyInput,
     TooFewPoints,
@@ -256,9 +253,9 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
 def _largest_over_subsets(points, n: int, radius_of) -> float:
     """Largest ``radius_of(subset)`` over the (n+1)-subsets of the points.
 
-    A subset on which ``radius_of`` raises Degenerate or Underflow (too small
-    to measure) is skipped; when no subset is left, raises Underflow if one
-    was skipped for that, and AllDegenerate otherwise.
+    Every subset is measured, affinely dependent ones included, except one
+    too small to measure: ``core.check_range`` raises Underflow on it, and it
+    is skipped.  When no subset is left, raises Underflow.
     """
     pts = _coerce_points(points)
     check_int("n", n, 1)
@@ -273,30 +270,31 @@ def _largest_over_subsets(points, n: int, radius_of) -> float:
         )
     best, underflow = -1.0, None
     for combo in itertools.combinations(range(pts.shape[0]), n + 1):
+        sub = pts[list(combo)]
         try:
-            best = max(best, radius_of(pts[list(combo)]))
-        except Degenerate:
-            continue
+            check_range(sub)
         except Underflow as exc:
             underflow = exc
+            continue
+        best = max(best, radius_of(sub))
     if best < 0.0:
-        if underflow is not None:
-            raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
-        raise AllDegenerate("every (n+1)-subset failed the rank test")
+        raise Underflow(f"no (n+1)-subset can be measured: {underflow}")
     return best
 
 
 def set_barycentric_circumradius(points, n: int) -> float:
-    """Largest barycentric circumradius over all full-dimensional subsets.
+    """Largest barycentric circumradius over the (n+1)-subsets of the points.
 
-    Enumerates every affinely independent (n+1)-subset of the points; the
-    exact enclosing radius of the whole set never exceeds the result.  A
-    subset too small to measure is skipped; when none is left, raises
-    Underflow if one was skipped for that, and AllDegenerate otherwise.
-    Raises the errors of ``core.as_points`` and EmptyInput for no points.
+    Enumerates every (n+1)-subset, affinely dependent ones included, as
+    the radius of a bounded set is the largest over all of them (Blumenthal
+    and Wahlin, 1941) and a subset's barycentric circumradius needs only
+    its edge lengths; the exact enclosing radius of the whole set never
+    exceeds the result.  A subset too small to measure is skipped; when
+    none is left, raises Underflow.  Raises the errors of
+    ``core.as_points`` and EmptyInput for no points.
     """
     return _largest_over_subsets(
-        points, n, lambda sub: barycentric_circumradius(validate_simplex(sub))[0]
+        points, n, lambda sub: barycentric_circumradius(Simplex(sub))[0]
     )
 
 

@@ -53,10 +53,6 @@ class EmptyInput(SimplexError):
     """An empty point list was supplied."""
 
 
-class AllDegenerate(SimplexError):
-    """Every candidate vertex subset failed the rank test."""
-
-
 class CapExceeded(SimplexError):
     """Input size exceeds the documented enumeration cap."""
 

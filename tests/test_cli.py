@@ -316,16 +316,29 @@ class TestEnclose:
         assert "diam" not in payload
 
     @pytest.mark.parametrize(
-        "copies, expected", [(2, EXIT_PARSE), (5, EXIT_DEGENERATE)], ids=["two", "five"]
+        "copies, expected", [(2, EXIT_PARSE), (5, EXIT_OK)], ids=["two", "five"]
     )
     def test_variant_jung_coincident_points(self, tmp_path, capsys, copies, expected):
-        # The point count is checked before the rank: fewer than n+1 points
-        # is an argument error, enough points with no full-rank subset is
-        # degenerate.
+        # Fewer than n+1 points is an argument error; enough copies of one
+        # point give a bound of 0, as the exact ball's radius is.
         path = write_points(tmp_path, "pt.json", [(1.0, 1.0)] * copies)
         code, out, err = run_cli(["enclose", str(path), "--variant-jung"], capsys)
         assert code == expected
-        assert_clean_error(out, err)
+        if code == EXIT_OK:
+            assert err == ""
+            assert parse_envelope(out)["payload"]["set_barycentric_circumradius"] == 0.0
+        else:
+            assert_clean_error(out, err)
+
+    def test_variant_jung_far_point_on_a_line(self, tmp_path, capsys):
+        # The far point lies only in thin triples, which the bound measures too.
+        path = write_points(tmp_path, "far.json", [(0, 0), (1, 0), (0, 1), (1e12, 0)])
+        code, out, err = run_cli(["enclose", str(path), "--variant-jung"], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        payload = parse_envelope(out)["payload"]
+        assert payload["bounds_hold"] is True
+        assert payload["set_barycentric_circumradius"] >= payload["meb"]["radius"]
 
     def test_directory_input(self, tmp_path, capsys):
         code, out, err = run_cli(["enclose", str(tmp_path)], capsys)
@@ -656,6 +669,31 @@ class TestArgumentErrors:
         code, out, err = run_cli(["corpus", *flags], capsys)
         assert code == EXIT_PARSE
         assert_clean_error(out, err)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_corpus_n_without_m(self, capsys, seed):
+        # m is drawn from 1..min(8, n), so every draw fits in the given n.
+        code, out, err = run_cli(["corpus", "--n", "3", "--seed", str(seed)], capsys)
+        assert code == EXIT_OK
+        assert err == ""
+        simplices = parse_envelope(out)["payload"]["simplices"]
+        assert {entry["n"] for entry in simplices} == {3}
+        assert {entry["m"] for entry in simplices} <= {1, 2, 3}
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_corpus_n_below_one(self, capsys, n):
+        code, out, err = run_cli(["corpus", "--n", n], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+        assert f"n must be an integer >= 1, got {n}" in err
+
+    def test_corpus_negative_seed(self, capsys, monkeypatch):
+        code, out, err = run_cli(["corpus", "--seed", "-1"], capsys)
+        assert code == EXIT_PARSE
+        assert_clean_error(out, err)
+        assert "seed must be an integer >= 0, got -1" in err
+        monkeypatch.setenv("SIMPLEX_SEED", "-1")
+        assert run_cli(["corpus"], capsys)[0] == EXIT_PARSE
 
     def test_corpus_m_above_drawn_n(self, capsys):
         code, out, err = run_cli(["corpus", "--m", "14"], capsys)

@@ -31,7 +31,6 @@ from simplexgeo.core import (
 )
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
-    AllDegenerate,
     Degenerate,
     DimensionMismatch,
     EmptyInput,
@@ -307,7 +306,7 @@ POINT_SET_FUNCTIONS = {
 # them differently, once the coordinate gate has admitted its rows.
 SIMPLEX_ONLY = (TooFewPoints, Degenerate, Underflow, OverflowError)
 # How a point set may end once the gate has admitted its rows.
-POINT_SET_ONLY = (EmptyInput, TooFewPoints, AllDegenerate, Underflow)
+POINT_SET_ONLY = (EmptyInput, TooFewPoints, Underflow)
 
 
 def point_set_outcome(point_set, rows):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexgeo import (
+    Simplex,
     barycenter,
     barycentric_circumradius,
     blumenthal_wahlin_check,
@@ -26,7 +27,6 @@ from simplexgeo.cli import _set_diameter
 from simplexgeo.corpus import random_simplex
 from simplexgeo.enclosing import WALK_MAX_STEPS, check_enclosure_bound
 from simplexgeo.errors import (
-    AllDegenerate,
     CapExceeded,
     DimensionMismatch,
     EmptyInput,
@@ -655,10 +655,12 @@ class TestSetBarycentricCircumradius:
 
     def test_enclosure_contract_on_random_sets(self):
         rng = np.random.default_rng(123)
-        for _ in range(25):
+        for draw in range(50):
             n = int(rng.integers(1, 4))
             count = int(rng.integers(n + 1, 11))
             pts = rng.uniform(-10, 10, size=(count, n))
+            if draw >= 25:  # thin: many subsets, or all, are affinely dependent
+                pts[:, -1] *= 10.0 ** -rng.uniform(6, 14)
             value = set_barycentric_circumradius(pts, n)
             gaps = pts[:, None, :] - pts[None, :, :]
             diam = math.sqrt(float(np.einsum("ijk,ijk->ij", gaps, gaps).max()))
@@ -667,12 +669,13 @@ class TestSetBarycentricCircumradius:
 
     def test_subsets_too_small_to_measure_are_skipped(self):
         # The triangle of the first three points has squared edges that
-        # underflow; every other full-rank triangle still counts.
+        # underflow; every other triangle counts, thin ones included.
         pts = [(0, 0), (1e-160, 0), (0, 1e-160), (1, 1), (2, 0)]
         value = set_barycentric_circumradius(pts, 2)
         want = max(
-            barycentric_circumradius(validate_simplex([pts[i], (1, 1), (2, 0)]))[0]
-            for i in range(3)
+            barycentric_circumradius(Simplex(triple))[0]
+            for triple in itertools.combinations(pts, 3)
+            if triple != tuple(pts[:3])
         )
         assert value == want
 
@@ -704,9 +707,24 @@ class TestSetBarycentricCircumradius:
         with pytest.raises(DimensionMismatch):
             subset_bound([(0, 0), (1, 0), (0, 1)], 3)
 
-    def test_all_degenerate(self):
-        with pytest.raises(AllDegenerate):
-            set_barycentric_circumradius([(0, 0), (1, 1), (2, 2), (3, 3)], 2)
+    def test_collinear_set(self):
+        # Each triple is measured: the largest distance from a triple's
+        # barycenter to its farthest vertex, from coordinates.
+        pts = np.array([(0, 0), (1, 1), (2, 2), (3, 3)], dtype=float)
+        want = max(
+            np.linalg.norm(pts[list(triple)] - pts[list(triple)].mean(axis=0), axis=1).max()
+            for triple in itertools.combinations(range(4), 3)
+        )
+        assert want == pytest.approx(5 * math.sqrt(2) / 3, rel=1e-15)
+        assert set_barycentric_circumradius(pts, 2) == pytest.approx(want, rel=1e-14)
+
+    def test_far_point_in_thin_subsets_only(self):
+        # Every triple holding the far point is thin; the bound measures
+        # them, so it is not below the exact radius.
+        pts = [(0, 0), (1, 0), (0, 1), (1e12, 0)]
+        value = set_barycentric_circumradius(pts, 2)
+        _, radius = exact_meb(pts)
+        assert value >= 5e11 >= radius
 
     def test_ball_cap_applies_to_exact_radii_only(self):
         # 12 points in R^11 form one subset: the barycentric circumradius

@@ -109,3 +109,18 @@ def test_no_unreferenced_private_definitions():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             ]
     assert not unreferenced, f"private definitions nothing references: {', '.join(unreferenced)}"
+
+
+def test_every_error_class_is_raised():
+    """Every error class but the base is raised by some module, so no class
+    outlives the check that raised it."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)} - {"SimplexError"}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert defined and not defined - raised, f"error classes never raised: {sorted(defined - raised)}"
