@@ -29,11 +29,7 @@ from .core import (
     require_regular,
     squared_distance_matrix,
 )
-from .errors import IndexOutOfRange, NegativeRadicand
-
-# Radicands more negative than this fraction of their constituent terms
-# signal genuinely inconsistent input; smaller negatives are rounding.
-RADICAND_RTOL = 1e-9
+from .errors import IndexOutOfRange
 
 
 @dataclass(frozen=True)
@@ -64,34 +60,25 @@ def radicands(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex radicands from a squared-distance matrix: (floored, raw).
 
     Entry i of ``raw`` is m times the squared edges at vertex i minus the
-    squared edges of the face opposite vertex i.  A raw value negative
-    beyond RADICAND_RTOL of its two terms raises NegativeRadicand; smaller
-    negatives are rounding and are floored to zero in the first array.
-    Raises OverflowError when a raw radicand is not finite, as its sums
-    reach (m+1)^2 times the largest squared edge.
+    squared edges of the face opposite vertex i.  By the generalized
+    Apollonius theorem it equals m^2 times the squared median from vertex
+    i, so it is never negative for real vertices and needs no sign test:
+    rounding can leave a raw value only slightly negative, and the first
+    array floors it at zero.  Raises OverflowError when a raw radicand is
+    not finite, as its sums reach (m+1)^2 times the largest squared edge.
     """
     m = sq.shape[0] - 1
     with np.errstate(over="ignore", invalid="ignore"):
         total = sq[_upper(m + 1)].sum()
         rows = sq.sum(axis=1)
-        star = m * rows
-        face = total - rows
-        raw = star - face
-        scale = np.maximum(star + face, 1e-300)
+        raw = m * rows - (total - rows)
     if not np.isfinite(raw).all():
         raise OverflowError("squared edge lengths overflow the float range")
-    bad = np.flatnonzero(raw < -RADICAND_RTOL * scale)
-    if bad.size:
-        i = int(bad[0])
-        raise NegativeRadicand(
-            f"radicand {raw[i]:.6e} at vertex {i} is negative beyond "
-            f"rounding tolerance (scale {star[i] + face[i]:.6e})"
-        )
     return np.maximum(raw, 0.0), raw
 
 
 def vertex_radicand(s: Simplex, i: int) -> float:
-    """Edge-length radicand for vertex i, floored at zero within tolerance."""
+    """Edge-length radicand for vertex i, floored at zero."""
     check_index(s, i)
     return float(radicands(squared_distance_matrix(s))[0][i])
 

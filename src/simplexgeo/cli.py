@@ -14,8 +14,9 @@ and TypeError for a non-string key or any other type.
 
 Diagnostics go to stderr.  ``main`` maps each exception to an exit code
 through one first-match table: 0 success, 1 numerical failure (overflow,
-a failed self-check, a singular system), 2 parse or argument error,
-3 degenerate input, 4 enumeration cap exceeded, 5 iteration budget
+a failed self-check, a singular system, an array that cannot be
+allocated), 2 parse or argument error, 3 degenerate input (the relative
+rank test only), 4 enumeration cap exceeded, 5 iteration budget
 exhausted, 6 no child satisfied the sign criterion, 7 unknown system
 function.  Every failure prints from that table: one ``error:`` line on
 stderr instead of a traceback.  The package emits no warning, so stderr
@@ -46,7 +47,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidDimension,
     InvalidPoint,
-    NegativeRadicand,
     NoSignCriterion,
     ParseError,
     SimplexError,
@@ -70,11 +70,11 @@ EXIT_UNKNOWN_FUNCTION = 7
 _EXIT_CODES = (
     ((OSError, ParseError, InvalidPoint, TooFewPoints), EXIT_PARSE),
     ((DimensionMismatch, InvalidDimension, IndexOutOfRange), EXIT_PARSE),
-    ((Degenerate, NegativeRadicand), EXIT_DEGENERATE),
+    (Degenerate, EXIT_DEGENERATE),
     (CapExceeded, EXIT_CAP),
     (NoSignCriterion, EXIT_NO_SIGN),
     (UnknownFunction, EXIT_UNKNOWN_FUNCTION),
-    ((SimplexError, ValueError, ArithmeticError, np.linalg.LinAlgError), EXIT_FAILURE),
+    ((SimplexError, ValueError, ArithmeticError, MemoryError, np.linalg.LinAlgError), EXIT_FAILURE),
 )
 
 
@@ -199,13 +199,13 @@ def _simplex_dict(s: Simplex) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    """Full report for each simplex file, in argument order."""
+    """Full report for each simplex file, in argument order; the enclosure's cap first."""
     for path in args.paths:
         s, digest = fileio.load_simplex(path)
         payload = {
+            "enclosure": enclosing.combined_enclosure(s),
             "simplex": _simplex_dict(s),
             "medians": median_sums(s),
-            "enclosure": enclosing.combined_enclosure(s),
             "metrics": metrics.metrics_report(s),
         }
         print(_envelope("analyze", digest, payload))

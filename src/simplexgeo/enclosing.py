@@ -189,7 +189,10 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     """Exact minimum enclosing ball plus the boundary support indices.
 
     The walk runs on the offsets to the first point.  Raises the errors of
-    ``core.as_points``, EmptyInput for no points, and ``core.check_range``'s.
+    ``core.as_points``, EmptyInput for no points, ``core.check_range``'s,
+    CapExceeded above MEB_MAX_POINTS points or above MEB_MAX_DIM for the
+    hull dimension min(n, N-1), and ArithmeticError when the walk does not
+    converge in WALK_MAX_STEPS steps.
     """
     pts = _coerce_points(points)
     cols = np.ascontiguousarray(pts.T)
@@ -231,13 +234,14 @@ def check_enclosure_bound(radius: float, bound: float, diam: float) -> None:
 def combined_enclosure(s: Simplex) -> EnclosureReport:
     """Compare the exact ball against the barycentric and Jung bounds.
 
-    Jung's bound is applied with m, since the simplex spans an m-flat.
+    Jung's bound is applied with m, since the simplex spans an m-flat.  The
+    exact ball comes first, so its cap refuses m > 10 before any O(m^2 n) work.
     """
+    center, radius = exact_meb(s.vertices)
     profile = edge_profile(s)
     radius_bc, argmax = barycentric_circumradius(s)
     jung = jung_bound(profile.diam, s.m)
     combined = min(radius_bc, jung)
-    center, radius = exact_meb(s.vertices)
     check_enclosure_bound(radius, combined, profile.diam)
     return EnclosureReport(
         barycentric_circumradius=radius_bc,

@@ -37,10 +37,6 @@ class InvalidDimension(SimplexError, ValueError):
     """A dimension or numeric argument is out of its supported range."""
 
 
-class NegativeRadicand(SimplexError):
-    """An edge-length radicand is negative beyond rounding tolerance."""
-
-
 class NotRegular(SimplexError):
     """Operation requires equal edge lengths within tolerance."""
 

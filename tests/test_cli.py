@@ -177,6 +177,23 @@ class TestAnalyze:
         assert code == EXIT_CAP
         assert_clean_error(out, err)
 
+    @pytest.mark.parametrize("diam", [1.0, 2e153])
+    def test_cap_before_quadratic_work(self, tmp_path, capsys, monkeypatch, diam):
+        # The exact ball's cap is checked before any (m+1)^2 n array is
+        # formed, so a huge simplex exits 4 instead of running out of memory,
+        # and one whose radicand sums would overflow exits 4, not 1.
+        def unreachable(*args):
+            raise AssertionError("ran before the exact ball's cap")
+
+        monkeypatch.setattr("simplexgeo.cli.median_sums", unreachable)
+        monkeypatch.setattr(enclosing, "edge_profile", unreachable)
+        monkeypatch.setattr(enclosing, "barycentric_circumradius", unreachable)
+        path = write_simplex(tmp_path, "m11.json", regular_simplex(11, 11, diam).vertices)
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_CAP
+        assert_clean_error(out, err)
+        assert err == "error: exact ball supports dimension <= 10, got 11\n"
+
     def test_crlf_input(self, tmp_path, capsys):
         raw = b'{"vertices": [[0, 0],\r\n[1, 0],\r\n[0, 1]]}\r\n'
         path = tmp_path / "crlf.json"
@@ -730,6 +747,20 @@ class TestNumericalFailure:
         else:
             assert_clean_error(out, err)
             assert err == "error: squared edge lengths overflow the float range\n"
+
+    def test_refused_allocation(self, capsys, monkeypatch):
+        # numpy raises MemoryError for an array the machine refuses; the test
+        # raises it directly, since a larger machine would grant the request.
+        message = "Unable to allocate 12.9 GiB for an array with shape (1201, 1201, 1200)"
+
+        def refuse(s):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(enclosing, "squared_distance_matrix", refuse)
+        code, out, err = run_cli(["regular", "--m", "3", "--n", "3"], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err == f"error: {message}\n"
 
     def test_regular_underflow(self, capsys):
         code, out, err = run_cli(["regular", "--m", "2", "--n", "2", "--diam", "1e-160"], capsys)
