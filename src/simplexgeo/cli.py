@@ -5,12 +5,15 @@ Every command prints a single-line envelope per result on stdout:
     {"command": ..., "input_digest": ..., "payload": ..., "schema_version": 1}
 
 Keys are sorted and floats carry 17 significant digits, so identical
-invocations produce byte-identical output.  ``render_json`` writes None,
-bool, int, float, str, dicts with string keys, lists, tuples, numpy
-arrays, numpy scalars (widened to the Python value) and dataclass
-instances, written field by field so their field names are the payload
-keys.  It raises ValueError for a NaN or infinity anywhere in the value
-and TypeError for a non-string key or any other type.
+invocations produce byte-identical output.  ``render_json`` writes values
+of exactly these types: None, bool, int, float, str, dict, list, tuple and
+numpy.ndarray.  It widens a numpy bool, integer, floating or str scalar to
+the Python value, and writes a dataclass instance field by field, so its
+field names are the payload keys.  A dict key may be any str.  It raises
+ValueError for a NaN or infinity anywhere in the value and TypeError for a
+non-string key or any other type, subclasses of the exact types (an
+IntEnum, a namedtuple, an OrderedDict, a masked array) and a dataclass
+itself included.
 
 Diagnostics go to stderr.  ``main`` maps each exception to an exit code
 through one first-match table: 0 success, 1 numerical failure (overflow,
@@ -82,8 +85,8 @@ def render_json(obj) -> str:
     """Serialize with sorted keys and 17-significant-digit floats.
 
     The accepted types and the two errors are listed in the module
-    docstring.  Each node is dispatched on its exact type; subclasses and
-    numpy scalars take the ``isinstance`` rules of ``_render_other``.
+    docstring.  Each node is dispatched on its exact type; numpy scalars
+    and dataclass instances go through ``_render_other``.
     Nested nodes go through ``_render``, so a wrapper around this function
     sees one call per value.
     """
@@ -136,24 +139,12 @@ def _dataclass_writer(cls):
 
 
 def _render_other(obj) -> str:
-    """Subclasses, numpy scalars and dataclasses, by the rules of the exact types."""
-    if isinstance(obj, bool) or isinstance(obj, np.bool_):
-        return _render_bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    """Numpy scalars, widened to the Python value, and dataclass instances."""
+    if isinstance(obj, np.floating):  # not item(): a longdouble's is a longdouble
         return _render_float(float(obj))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, np.ndarray):
-        return _render_array(obj)
-    if isinstance(obj, dict):
-        return _render_dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return _render_list(obj)
-    if dataclasses.is_dataclass(obj):
-        if isinstance(obj, type):  # a dataclass itself, written from its class attributes
-            return _render(_fields(obj))
+    if isinstance(obj, (np.bool_, np.integer, np.str_)):
+        return _render(obj.item())
+    if dataclasses.is_dataclass(type(obj)):  # an instance, not a dataclass itself
         write = _WRITERS[type(obj)] = _dataclass_writer(type(obj))
         return write(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -173,10 +164,6 @@ _WRITERS = {
     tuple: _render_list,
     np.ndarray: _render_array,
 }
-
-
-def _fields(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _envelope(command: str, digest: str, payload) -> str:
@@ -281,7 +268,7 @@ def cmd_solve(args) -> int:
         "tol": args.tol,
         "max_iter": args.max_iter,
         "iterations": trace.steps[-1].depth,
-        **_fields(trace),
+        **vars(trace),
     }
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ def _reject_constant(token: str):
 def _coordinate_rows(text: str, key: str) -> np.ndarray:
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("JSON nests too deeply to parse") from exc

@@ -234,11 +234,15 @@ class TestAnalyze:
         assert_clean_error(out, err)
 
     def test_integer_beyond_float_range(self, tmp_path, capsys):
+        # 5000 digits also pass the interpreter's 4300-digit limit on parsing
+        # an integer, which json.loads enforces with a plain ValueError.
         path = tmp_path / "huge.json"
-        path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1' + "0" * 400 + "]]}")
-        code, out, err = run_cli(["analyze", str(path)], capsys)
-        assert code == EXIT_PARSE
-        assert_clean_error(out, err)
+        for digits in (400, 5000):
+            path.write_text('{"vertices": [[0, 0], [1, 0], [0, 1' + "0" * digits + "]]}")
+            for command in (["analyze"], ["solve", "shifted-identity-2d"]):
+                code, out, err = run_cli([*command, str(path)], capsys)
+                assert code == EXIT_PARSE, (digits, command)
+                assert_clean_error(out, err)
 
 
 def circle(count):
@@ -364,10 +368,11 @@ class TestEnclose:
 
     def test_integer_beyond_float_range(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
-        path.write_text('{"points": [[1, 1' + "0" * 400 + "], [0, 0]]}")
-        code, out, err = run_cli(["enclose", str(path)], capsys)
-        assert code == EXIT_PARSE
-        assert_clean_error(out, err)
+        for digits in (400, 5000):
+            path.write_text('{"points": [[1, 1' + "0" * digits + "], [0, 0]]}")
+            code, out, err = run_cli(["enclose", str(path)], capsys)
+            assert code == EXIT_PARSE, digits
+            assert_clean_error(out, err)
 
     @pytest.mark.parametrize(
         "points",

@@ -1,7 +1,10 @@
 """``cli.render_json`` against the reference serialiser it replaced.
 
 ``conftest.reference_render`` is the old ``isinstance`` chain; the
-exact-type dispatch must write the same bytes and raise the same errors.
+exact-type dispatch must write the same bytes and raise the same errors
+for every type it still accepts.  Subclasses of the exact types and a
+dataclass itself, which the chain also wrote, raise TypeError, and no
+command emits them.
 """
 
 import collections
@@ -15,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from simplexgeo import cli
 from simplexgeo.cli import render_json
 
 from conftest import reference_render
@@ -97,25 +101,69 @@ def test_matches_reference(value):
 @pytest.mark.parametrize(
     "value",
     [
-        Level.HIGH,
-        Name('quote " and \\ and é'),
-        {Name("b"): 1, "a": Name("x")},
-        Point(0.5, -0.0),
-        collections.OrderedDict([("z", 1.0), ("a", [True])]),
-        np.ma.masked_array([1.0, 2.0, 3.0], mask=[0, 1, 0]),
+        {Name("b"): 1, "a": "x"},  # a dict key may be any str
         np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float16),
         np.array([1, 2], dtype=">f8"),
         np.float64(np.pi),
         np.array(2.5),
         np.array(["a", "é"]),
         Defaults(),
-        Defaults,  # a dataclass itself is written from its class attributes
         [Single(Single(None))] * 3,
     ],
     ids=lambda value: type(value).__name__,
 )
 def test_other_types_match_reference(value):
     assert render_json(value) == reference_render(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Level.HIGH,
+        Name('quote " and \\ and é'),
+        collections.OrderedDict([("z", 1.0), ("a", [True])]),
+        Point(0.5, -0.0),
+        np.ma.masked_array([1.0, 2.0, 3.0], mask=[0, 1, 0]),
+        Defaults,  # a dataclass itself, not an instance
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_subclasses_and_dataclass_types_raise(value):
+    with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__}$"):
+        render_json([value])
+
+
+def test_commands_reach_only_report_dataclasses(tmp_path, monkeypatch, capsys):
+    """Every value a command writes has an exact-type writer or is a report.
+
+    The table is reset to its fixed types, so each report dataclass reaches
+    ``_render_other`` once, when its writer is made.
+    """
+    seen, render_other = [], cli._render_other
+
+    def spy(obj):
+        seen.append(type(obj))
+        return render_other(obj)
+
+    monkeypatch.setattr(cli, "_render_other", spy)
+    monkeypatch.setattr(cli, "_WRITERS", {kind: write for kind, write in cli._WRITERS.items()
+                                          if not dataclasses.is_dataclass(kind)})
+    simplex = tmp_path / "simplex.json"
+    simplex.write_text('{"vertices": [[0, 0], [1, 0], [0, 1]]}')
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [[0, 0], [2, 0.5], [1, 3], [-1, 1], [0.5, 0.5]]}')
+    runs = [
+        ["analyze", str(simplex)],
+        ["enclose", str(points), "--variant-jung", "--bw-check"],
+        ["solve", "shifted-identity-2d", str(simplex), "--trace", str(tmp_path / "steps.jsonl")],
+        ["regular", "--m", "3", "--n", "4", "--diam", "2"],
+        ["corpus", "--seed", "3", "--count", "4"],
+    ]
+    for argv in runs:
+        assert cli.main(argv) == cli.EXIT_OK, argv
+    assert capsys.readouterr().err == ""
+    assert sorted(kind.__name__ for kind in seen) == [
+        "BisectionStep", "EnclosureReport", "MedianReport", "MetricsReport"]
 
 
 def assert_same_error(value, kind):
