@@ -27,7 +27,6 @@ from .core import (
     face_centroid,
     face_centroids,
     require_regular,
-    squared_distance_matrix,
 )
 from .errors import IndexOutOfRange
 
@@ -80,7 +79,7 @@ def radicands(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def vertex_radicand(s: Simplex, i: int) -> float:
     """Edge-length radicand for vertex i, floored at zero."""
     check_index(s, i)
-    return float(radicands(squared_distance_matrix(s))[0][i])
+    return float(s.radicand_pair[0][i])
 
 
 def median_length(s: Simplex, i: int) -> float:
@@ -99,9 +98,8 @@ def apollonius_residual(s: Simplex, i: int) -> float:
     near zero certifies the edge-length route against an independent one.
     """
     check_index(s, i)
-    _, raw = radicands(squared_distance_matrix(s))
     median = s.vertices[i] - face_centroid(s, i)
-    return float(raw[i]) - s.m**2 * float(median @ median)
+    return float(s.radicand_pair[1][i]) - s.m**2 * float(median @ median)
 
 
 def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
@@ -119,9 +117,7 @@ def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
 
 def median_sums(s: Simplex) -> MedianReport:
     """Assemble the per-vertex medians and the aggregate squared sums."""
-    sq = squared_distance_matrix(s)
-    floored, raw = radicands(sq)
-    center = barycenter(s)
+    floored, raw = s.radicand_pair
     # One BLAS dot per row: einsum rounds some rows differently.
     median_squares = [float(med @ med) for med in s.vertices - face_centroids(s)]
     return MedianReport(
@@ -130,8 +126,8 @@ def median_sums(s: Simplex) -> MedianReport:
         # sum() adds left to right, so these match a per-vertex running
         # total bit for bit; numpy's pairwise summation rounds differently.
         sum_squares_medians=sum(median_squares),
-        sum_squares_center_to_vertices=sum(float(g @ g) for g in center - s.vertices),
-        sum_squares_edges=float(sq[_upper(s.m + 1)].sum()),
+        sum_squares_center_to_vertices=sum(float(g @ g) for g in s.barycenter - s.vertices),
+        sum_squares_edges=float(s.sq_distances[_upper(s.m + 1)].sum()),
     )
 
 

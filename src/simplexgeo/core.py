@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,14 +73,18 @@ def as_points(rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Simplex:
-    """Ordered vertices of a validated m-simplex, stored as an (m+1, n) array."""
+    """Ordered vertices of a validated m-simplex, stored as an (m+1, n) array.
+
+    The quantities the reports share are formed on first use, once per
+    simplex, and kept read-only: ``cached_property`` writes the instance
+    dict directly, which the frozen dataclass allows, and equality still
+    compares the vertices alone.
+    """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.vertices, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertices", arr)
+        object.__setattr__(self, "vertices", _read_only(np.array(self.vertices, dtype=float)))
 
     @property
     def m(self) -> int:
@@ -89,6 +93,39 @@ class Simplex:
     @property
     def n(self) -> int:
         return self.vertices.shape[1]
+
+    @cached_property
+    def sq_distances(self) -> np.ndarray:
+        """The squared_distance_matrix of the vertices."""
+        return _read_only(squared_distance_matrix(self))
+
+    @cached_property
+    def radicand_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (floored, raw) per-vertex radicands of sq_distances."""
+        from . import apollonius  # which imports this module
+
+        floored, raw = apollonius.radicands(self.sq_distances)
+        return _read_only(floored), _read_only(raw)
+
+    @cached_property
+    def profile(self) -> EdgeProfile:
+        """The edge_profile of the simplex."""
+        return edge_profile(self)
+
+    @cached_property
+    def barycenter(self) -> np.ndarray:
+        """Equal-weight average of the vertices."""
+        return _read_only(centroid(self.vertices))
+
+    @cached_property
+    def edge_factor(self) -> np.ndarray:
+        """Upper triangular R of (v_1 - v_0, ..., v_m - v_0) = QR, without Q."""
+        return _read_only(np.linalg.qr((self.vertices[1:] - self.vertices[0]).T, mode="r"))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,10 +209,8 @@ def edge_profile(s: Simplex) -> EdgeProfile:
 
     Raises OverflowError when a squared edge length exceeds the float range.
     """
-    lengths = np.sqrt(squared_distance_matrix(s))
-    extremes = extremal_edges(lengths)
-    lengths.setflags(write=False)
-    return EdgeProfile(lengths, *extremes)
+    lengths = np.sqrt(s.sq_distances)
+    return EdgeProfile(_read_only(lengths), *extremal_edges(lengths))
 
 
 def extremal_edges(lengths: np.ndarray) -> tuple:
@@ -198,9 +233,7 @@ def extremal_edges(lengths: np.ndarray) -> tuple:
 def _inf_diagonal(k: int) -> np.ndarray:
     """Read-only (k, k) matrix, inf on the diagonal and 0 elsewhere: added to
     the lengths, it leaves only the edges for the minimum."""
-    mask = np.diag(np.full(k, math.inf))
-    mask.setflags(write=False)
-    return mask
+    return _read_only(np.diag(np.full(k, math.inf)))
 
 
 def squared_distance_matrix(s: Simplex) -> np.ndarray:
@@ -280,7 +313,7 @@ def edge_spread(profile: EdgeProfile) -> float:
 
 def require_regular(s: Simplex) -> EdgeProfile:
     """Return the edge profile, raising NotRegular on unequal edges."""
-    profile = edge_profile(s)
+    profile = s.profile
     if edge_spread(profile) > REGULAR_RTOL:
         raise NotRegular(
             f"edge spread {edge_spread(profile):.3e} exceeds {REGULAR_RTOL:.1e}"

@@ -4,10 +4,15 @@ The barycentric circumradius is the distance from the barycenter to the
 farthest vertex, computable from edge lengths alone.  Centered at the
 barycenter it encloses the simplex, so the exact minimum enclosing ball
 radius never exceeds it; Jung's bound provides a second cap in terms of
-the diameter.  The exact ball comes from an active-set walk that
-certifies the ball when it stops, and that updates a QR factor of its
-support one point at a time rather than factorising at every step (see
-``_walk``).
+the diameter.  The exact ball of a point set (``exact_meb_support``, and
+the subset bounds) comes from an active-set walk that certifies the ball
+when it stops, and that updates a QR factor of its support one point at a
+time rather than factorising at every step (see ``_walk``).  The exact
+ball of a Simplex (``simplex_meb_support``, under ``combined_enclosure``
+and ``metrics.eggleston_suite``) picks its support by a Cayley-Menger
+descent on the simplex's squared distances (see ``_descend``), forms the
+ball once from coordinates and certifies it as the walk does; the walk
+takes over when that fails.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import radicands
 from .core import (
     Simplex,
     as_points,
@@ -26,9 +30,7 @@ from .core import (
     check_int,
     check_positive,
     check_range,
-    edge_profile,
     require_regular,
-    squared_distance_matrix,
 )
 from .errors import (
     CapExceeded,
@@ -52,6 +54,10 @@ _AFFINE_RTOL = 1e-9
 # Each step of the walk adds or drops one support point.  The most seen
 # was 130 steps, for 10^4 points in a thin shell in R^10.
 WALK_MAX_STEPS = 1000
+# Each step of the descent drops or adds one vertex.  Over 6000 random
+# simplices with m = 1..10, half of them thin, the most was 12 steps for 11
+# vertices.
+_DESCENT_STEPS_PER_VERTEX = 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ def barycentric_circumradius(s: Simplex) -> tuple[float, int]:
     Returns the radius and the index of the attaining vertex; ties resolve
     to the smallest index.
     """
-    floored, _ = radicands(squared_distance_matrix(s))
+    floored, _ = s.radicand_pair
     argmax = int(np.argmax(floored))
     return math.sqrt(floored[argmax]) / (s.m + 1), argmax
 
@@ -185,19 +191,7 @@ def _walk(cols: np.ndarray) -> tuple[np.ndarray, list]:
     raise ArithmeticError(f"exact ball walk did not converge in {WALK_MAX_STEPS} steps")
 
 
-def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
-    """Exact minimum enclosing ball plus the boundary support indices.
-
-    The walk runs on the offsets to the first point.  Raises the errors of
-    ``core.as_points``, EmptyInput for no points, ``core.check_range``'s,
-    CapExceeded above MEB_MAX_POINTS points or above MEB_MAX_DIM for the
-    hull dimension min(n, N-1), and ArithmeticError when the walk does not
-    converge in WALK_MAX_STEPS steps.
-    """
-    pts = _coerce_points(points)
-    cols = np.ascontiguousarray(pts.T)
-    check_range(cols.T)  # its reductions then run along memory
-    count, n = pts.shape
+def _check_caps(count: int, n: int) -> None:
     # The walk stays in the affine hull of its support, so the cap counts
     # the dimension that hull can reach, not the ambient one.
     dim = min(n, count - 1)
@@ -207,6 +201,10 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
         raise CapExceeded(
             f"exact ball supports <= {MEB_MAX_POINTS} points, got {count}"
         )
+
+
+def _walk_ball(pts: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+    """The walk's ball of the rows ``pts``, given ``cols``, their (n, N) copy."""
     center, support = _walk(cols - cols[:, :1])
     # Cover every point exactly; the inflation is at rounding scale.  Summed
     # along rows: a sum across the rows of the (n, N) copy rounds differently
@@ -214,6 +212,110 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     rel = pts - pts[0]
     radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
     return pts[0] + center, radius, tuple(sorted(support))
+
+
+def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
+    """Exact minimum enclosing ball of a point set plus the boundary support
+    indices, by the walk on the offsets to the first point.
+
+    Raises the errors of ``core.as_points``, EmptyInput for no points,
+    ``core.check_range``'s, CapExceeded above MEB_MAX_POINTS points or above
+    MEB_MAX_DIM for the hull dimension min(n, N-1), and ArithmeticError when
+    the walk does not converge in WALK_MAX_STEPS steps.  A Simplex takes
+    ``simplex_meb_support`` instead.
+    """
+    pts = _coerce_points(points)
+    cols = np.ascontiguousarray(pts.T)
+    check_range(cols.T)  # its reductions then run along memory
+    _check_caps(*pts.shape)
+    return _walk_ball(pts, cols)
+
+
+def _descend(sq: np.ndarray) -> list | None:
+    """Support of the exact ball of affinely independent points, from their
+    squared distances alone, or None when the descent fails.
+
+    The circumcenter of the points in S has barycentric weights lam with
+    D_S lam = 2 R^2 1, R its circumradius, so lam is D_S^-1 1 scaled to sum
+    1 (the Cayley-Menger system).  Starting from all points, drop the one
+    with the most negative weight; once every weight is >= -_IN_BALL_RTOL,
+    add back the farthest point outside the ball, or stop.  A dropped point
+    lies inside the next ball, so it does not return at once.  Fails on a
+    singular solve or after _DESCENT_STEPS_PER_VERTEX steps per point.
+    """
+    # Dividing by the largest entry is exact for a simplex scaled by a power
+    # of two, so it takes the same steps.
+    d = sq / sq.max()
+    system, active = d.copy(), np.ones(len(d))
+    for _ in range(_DESCENT_STEPS_PER_VERTEX * len(d)):
+        try:
+            x = np.linalg.solve(system, active)
+        except np.linalg.LinAlgError:
+            return None
+        total = float(x.sum())
+        if not 0.0 < total < math.inf:
+            return None
+        lam = x / total
+        drop = int(np.argmin(lam))
+        if lam[drop] < -_IN_BALL_RTOL:
+            # A dropped point keeps the one equation x_j = 0.
+            system[drop], system[:, drop] = 0.0, 0.0
+            system[drop, drop] = 1.0
+            active[drop] = 0.0
+            continue
+        # |c - p_k|^2 = D[k] lam - R^2, with R^2 = 1 / (2 total).
+        r2 = 0.5 / total
+        excess = (d @ lam - (1.0 + (1.0 + _IN_BALL_RTOL) ** 2) * r2) * (1.0 - active)
+        far = int(np.argmax(excess))
+        if excess[far] <= 0.0:
+            return np.flatnonzero(active).tolist()
+        system[far], system[:, far] = d[far] * active, d[:, far] * active
+        active[far] = 1.0
+    return None
+
+
+def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
+    """Exact minimum enclosing ball of a simplex's vertices plus the boundary
+    support indices, as ``exact_meb_support`` gives them for a point set.
+
+    The simplex was validated, so its vertices are not admitted again; the
+    cap on m comes before any O(m^2 n) work.  ``_descend`` picks the support
+    from the simplex's squared distances, in O(m^3) per step and at most
+    2 (m+1) steps.  The ball is then formed once from coordinates on the
+    support and certified as the walk certifies its own: every barycentric
+    coefficient >= -_IN_BALL_RTOL, and no vertex farther than
+    (1 + _IN_BALL_RTOL) times the support's radius.  The radius covers
+    every vertex.  When the descent fails or the certificate does not hold,
+    the walk gives the ball, bit for bit as ``exact_meb_support`` does.
+    """
+    pts = s.vertices
+    _check_caps(*pts.shape)
+    support = _descend(s.sq_distances)
+    if support is not None:
+        rel = pts - pts[0]
+        center, coef = _support_ball(rel, support)
+        dist2 = ((rel - center) ** 2).sum(axis=1)
+        far2, ball2 = float(dist2.max()), (1.0 + _IN_BALL_RTOL) ** 2 * float(dist2[support].max())
+        if coef.min() >= -_IN_BALL_RTOL and far2 <= ball2:
+            return pts[0] + center, math.sqrt(far2), tuple(support)
+    return _walk_ball(pts, np.ascontiguousarray(pts.T))
+
+
+def _support_ball(rel: np.ndarray, support: list) -> tuple[np.ndarray, np.ndarray]:
+    """Circumcenter of the rows ``rel[support]`` within their affine hull, and
+    its barycentric coefficients on them.
+
+    With E = U S V^T the edge vectors to the first support row and b their
+    halved squared lengths, the circumcenter is that row plus V S^-1 U^T b,
+    the least-norm solution of E x = b, and its coefficients on the edges
+    are U S^-2 U^T b.
+    """
+    origin = rel[support[0]]
+    edges = rel[support[1:]] - origin
+    u, sv, vt = np.linalg.svd(edges, full_matrices=False)
+    w = 0.5 * np.einsum("ij,ij->i", edges, edges) @ u / sv
+    coef = u @ (w / sv)
+    return origin + w @ vt, np.concatenate(([1.0 - coef.sum()], coef))
 
 
 def exact_meb(points) -> tuple[np.ndarray, float]:
@@ -235,10 +337,11 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
     """Compare the exact ball against the barycentric and Jung bounds.
 
     Jung's bound is applied with m, since the simplex spans an m-flat.  The
-    exact ball comes first, so its cap refuses m > 10 before any O(m^2 n) work.
+    exact ball is ``simplex_meb_support``'s, and it comes first, so its cap
+    refuses m > 10 before any O(m^2 n) work.
     """
-    center, radius = exact_meb(s.vertices)
-    profile = edge_profile(s)
+    center, radius, _ = simplex_meb_support(s)
+    profile = s.profile
     radius_bc, argmax = barycentric_circumradius(s)
     jung = jung_bound(profile.diam, s.m)
     combined = min(radius_bc, jung)
@@ -249,7 +352,7 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
         combined_bound=combined,
         meb_radius=radius,
         meb_center=center,
-        barycenter=barycenter(s),
+        barycenter=s.barycenter,
         argmax_vertex=argmax,
     )
 

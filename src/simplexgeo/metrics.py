@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .apollonius import radicands
 from .core import (
     REGULAR_RTOL,
     Simplex,
@@ -28,10 +27,9 @@ from .core import (
     edge_profile,
     edge_spread,
     regular_simplex,
-    squared_distance_matrix,
     validate_simplex,
 )
-from .enclosing import exact_meb, jung_bound
+from .enclosing import jung_bound, simplex_meb_support
 from .errors import DimensionMismatch, NotFullDimensional
 
 # Optimality slack of the nearest-point search, relative to the squared
@@ -119,14 +117,14 @@ def distance_point_to_face(p, face: Simplex) -> float:
 def _inverse_altitudes(s: Simplex) -> np.ndarray:
     """1/h_i for every vertex i.
 
-    With (v_1 - v_0, ..., v_m - v_0) = QR, the barycentric coordinates of a
-    point x of the affine hull are lambda_{1..m} = R^-1 Q^T (x - v_0).  So
-    the rows of R^-1 are the gradients of lambda_1..lambda_m in the basis
-    Q, the gradient of lambda_0 is minus their sum, and the norm of the
-    gradient of lambda_i is 1/h_i, h_i the altitude from vertex i.
+    With (v_1 - v_0, ..., v_m - v_0) = QR, R the simplex's edge_factor, the
+    barycentric coordinates of a point x of the affine hull are
+    lambda_{1..m} = R^-1 Q^T (x - v_0).  So the rows of R^-1 are the
+    gradients of lambda_1..lambda_m in the basis Q, the gradient of lambda_0
+    is minus their sum, and the norm of the gradient of lambda_i is 1/h_i,
+    h_i the altitude from vertex i.
     """
-    factor = np.linalg.qr((s.vertices[1:] - s.vertices[0]).T, mode="r")
-    inverse = np.linalg.inv(factor)
+    inverse = np.linalg.inv(s.edge_factor)
     grads = np.vstack([-inverse.sum(axis=0), inverse])
     return np.linalg.norm(grads, axis=1)
 
@@ -141,8 +139,8 @@ def barycentric_inradius(s: Simplex) -> tuple[float, int]:
     radius lies in the simplex and touches that plane inside the face,
     so the face distances have the same minimum and argmin.
 
-    Cost: one QR of the n x m edge matrix and one m x m inverse,
-    O(m^2 n + m^3), with no iteration.
+    Cost: one QR of the n x m edge matrix, formed once per simplex, and one
+    m x m inverse, O(m^2 n + m^3), with no iteration.
     """
     inv_h = _inverse_altitudes(s)
     argmin = int(np.argmax(inv_h))
@@ -156,12 +154,11 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
     one particular point of each face.  Each term is cross-checked against
     |v_i - b| / m, b the barycenter, which divides each median m : 1.
     """
-    sq = squared_distance_matrix(s)
-    floored, _ = radicands(sq)
+    floored, _ = s.radicand_pair
     values = np.sqrt(floored) / (s.m * (s.m + 1))
     rel = s.vertices - s.vertices[0]
     direct = np.linalg.norm(rel - centroid(rel), axis=1) / s.m
-    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * math.sqrt(float(sq.max())))
+    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * math.sqrt(float(s.sq_distances.max())))
     if bad.size:
         i = int(bad[0])
         raise ArithmeticError(
@@ -174,7 +171,7 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
 
 def thickness(s: Simplex) -> tuple[float, float]:
     """(inradius / diameter, estimated inradius / diameter)."""
-    profile = edge_profile(s)
+    profile = s.profile
     exact, _ = barycentric_inradius(s)
     estimate, _ = barycentric_inradius_estimate(s)
     return exact / profile.diam, estimate / profile.diam
@@ -236,10 +233,10 @@ def eggleston_suite(s: Simplex) -> list:
         raise NotFullDimensional(
             f"the inequality suite needs m == n, got m={s.m}, n={s.n}"
         )
-    profile = edge_profile(s)
+    profile = s.profile
     diam = profile.diam
     _, inradius = exact_inradius_fulldim(s)
-    _, circumradius = exact_meb(s.vertices)
+    _, circumradius, _ = simplex_meb_support(s)
     rows = [
         ("inradius_le_circumradius", inradius, circumradius),
         ("diameter_le_two_circumradius", diam, 2.0 * circumradius),
@@ -276,7 +273,7 @@ def gale_diameter_check(n: int) -> tuple[float, float]:
 
 def metrics_report(s: Simplex) -> MetricsReport:
     """Bundle the inradius family of quantities for one simplex."""
-    profile = edge_profile(s)
+    profile = s.profile
     exact, _ = barycentric_inradius(s)
     estimate, _ = barycentric_inradius_estimate(s)
     if s.m == s.n:

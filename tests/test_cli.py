@@ -6,6 +6,7 @@ across processes.
 """
 
 import builtins
+import collections
 import contextlib
 import hashlib
 import io
@@ -21,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexgeo import (
+    apollonius,
     barycentric_circumradius,
     bisection,
+    core,
     enclosing,
     regular_simplex,
     validate_simplex,
@@ -186,13 +189,42 @@ class TestAnalyze:
             raise AssertionError("ran before the exact ball's cap")
 
         monkeypatch.setattr("simplexgeo.cli.median_sums", unreachable)
-        monkeypatch.setattr(enclosing, "edge_profile", unreachable)
+        monkeypatch.setattr("simplexgeo.core.squared_distance_matrix", unreachable)
+        monkeypatch.setattr("simplexgeo.core.edge_profile", unreachable)
         monkeypatch.setattr(enclosing, "barycentric_circumradius", unreachable)
         path = write_simplex(tmp_path, "m11.json", regular_simplex(11, 11, diam).vertices)
         code, out, err = run_cli(["analyze", str(path)], capsys)
         assert code == EXIT_CAP
         assert_clean_error(out, err)
         assert err == "error: exact ball supports dimension <= 10, got 11\n"
+
+    def test_each_quantity_formed_once_per_simplex(self, tmp_path, capsys, monkeypatch):
+        # The squared distances, the radicands and the edge factor are formed
+        # once per simplex, however many reports read them.
+        counts = collections.Counter()
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(core, "squared_distance_matrix")
+        counting(apollonius, "radicands")
+        counting(np.linalg, "qr")
+        rng = np.random.default_rng(26)
+        paths = [
+            write_simplex(tmp_path, f"m{m}-n{n}.json", random_simplex(rng, m, n).vertices)
+            for m in range(1, 11)
+            for n in (m, m + 2)
+        ]
+        code, out, err = run_cli(["analyze", *map(str, paths)], capsys)
+        assert code == EXIT_OK and err == ""
+        assert len(out.splitlines()) == len(paths)
+        assert counts == {"squared_distance_matrix": 20, "radicands": 20, "qr": 20}
 
     def test_crlf_input(self, tmp_path, capsys):
         raw = b'{"vertices": [[0, 0],\r\n[1, 0],\r\n[0, 1]]}\r\n'
@@ -761,7 +793,7 @@ class TestNumericalFailure:
         def refuse(s):
             raise MemoryError(message)
 
-        monkeypatch.setattr(enclosing, "squared_distance_matrix", refuse)
+        monkeypatch.setattr("simplexgeo.core.squared_distance_matrix", refuse)
         code, out, err = run_cli(["regular", "--m", "3", "--n", "3"], capsys)
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -107,6 +108,34 @@ class TestValidate:
         s = validate_simplex([(0, 0), (1, 0), (0, 1)])
         with pytest.raises(ValueError):
             s.vertices[0, 0] = 5.0
+
+    def test_cached_quantities(self):
+        # Each shared quantity is formed once and kept read-only; simplices
+        # with equal vertices share none of them, and equality reads the
+        # vertices alone, before and after the caches are filled.
+        s, t = validate_simplex([(0, 0), (1, 0), (0, 1)]), validate_simplex([(0, 0), (1, 0), (0, 1)])
+
+        def equality():
+            outcomes = []
+            for other in (s, t, "a"):
+                try:
+                    outcomes.append(s == other)
+                except ValueError as exc:  # numpy's truth value of an array
+                    outcomes.append(type(exc))
+            return outcomes
+
+        before = equality()
+
+        def cached(x):
+            return [x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter, x.edge_factor]
+
+        for a, b in zip(cached(s), cached(t)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1.0
+            assert not np.shares_memory(a, b) and np.array_equal(a, b)
+        assert s.profile is s.profile and s.profile is not t.profile
+        assert equality() == before
+        assert [f.name for f in dataclasses.fields(Simplex)] == ["vertices"]
 
     def test_order_preserved(self):
         pts = [(3.0, 1.0), (0.0, 0.0), (1.0, 4.0)]

@@ -25,9 +25,10 @@ from simplexgeo import (
 )
 from simplexgeo.cli import _set_diameter
 from simplexgeo.corpus import random_simplex
-from simplexgeo.enclosing import WALK_MAX_STEPS, check_enclosure_bound
+from simplexgeo.enclosing import WALK_MAX_STEPS, check_enclosure_bound, simplex_meb_support
 from simplexgeo.errors import (
     CapExceeded,
+    Degenerate,
     DimensionMismatch,
     EmptyInput,
     InvalidDimension,
@@ -547,13 +548,15 @@ def test_factor_health(monkeypatch, name):
 
 
 def assert_exact_certificate(pts):
-    """The returned support certifies the ball in exact arithmetic.
+    """The returned support certifies the ball in exact arithmetic."""
+    assert_support_certified(pts, exact_meb_support(pts)[2])
 
-    The support's exact circumcenter within its affine hull has barycentric
+
+def assert_support_certified(pts, support):
+    """The support's exact circumcenter within its affine hull has barycentric
     coefficients >= -_IN_BALL_RTOL, and no point lies farther from it than
     (1 + _IN_BALL_RTOL) times the exact circumradius.
     """
-    _, _, support = exact_meb_support(pts)
     center, coef, radius2 = exact.circumcenter(pts[list(support)])
     assert min(coef) >= -enclosing._IN_BALL_RTOL
     farthest2 = max(exact.squared_distances(pts, center))
@@ -579,6 +582,123 @@ class TestExactCertificate:
         # The support need not be unique here; the certificate holds for the
         # one returned.
         assert_exact_certificate(STRESS_SETS[name]())
+
+
+def simplex_ball_cases():
+    """(name, simplex) pairs for the descent: random simplices with m = 1..10,
+    the same with the last coordinate squashed by 10^-2..10^-8 or every one
+    scaled by 10^50 or 10^-50, and the obtuse triangle, the corner simplices
+    (right angles at vertex 0; the triangle's circumcenter has a weight of
+    exactly 0) and the regular simplices.  A squashed copy that fails the
+    rank test is left out."""
+    rng = np.random.default_rng(2026)
+    rows = [("obtuse-triangle", derived_obtuse_triangle().vertices)]
+    for m in range(1, 11):
+        for k in range(12):
+            v = random_simplex(rng, m, int(rng.integers(m, 11))).vertices
+            thin = v.copy()
+            thin[:, -1] *= 10.0 ** -(2 + k % 7)
+            rows += [
+                (f"random-m{m}-{k}", v),
+                (f"thin-m{m}-{k}", thin),
+                (f"scaled-m{m}-{k}", v * 10.0 ** (50 if k % 2 else -50)),
+            ]
+        rows += [
+            (f"corner-m{m}", np.vstack([np.zeros(m), np.eye(m)])),
+            (f"regular-m{m}", regular_simplex(m, m, 1.0).vertices),
+        ]
+    cases = []
+    for name, v in rows:
+        try:
+            cases.append((name, validate_simplex(v)))
+        except Degenerate:
+            assert name.startswith("thin")
+    return cases
+
+
+SIMPLEX_BALL_CASES = simplex_ball_cases()
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+class TestSimplexBall:
+    """The descent's ball of a simplex against the walk's."""
+
+    @pytest.mark.parametrize("name, s", SIMPLEX_BALL_CASES, ids=[name for name, _ in SIMPLEX_BALL_CASES])
+    def test_matches_walk(self, name, s):
+        # The balls agree to 4 (m+1) eps diam; the most seen was 0.74.  The
+        # supports agree unless a vertex of their union has a circumcenter
+        # weight within _IN_BALL_RTOL of 0, a tie that either side may break.
+        # Only a thin simplex may leave the support to the walk.
+        center, radius, support = simplex_meb_support(s)
+        if not name.startswith("thin"):
+            assert enclosing._descend(s.sq_distances) == list(support)
+        want_center, want_radius, want_support = exact_meb_support(s.vertices)
+        tol = 4 * (s.m + 1) * np.finfo(float).eps * math.sqrt(s.sq_distances.max())
+        assert np.abs(center - want_center).max() <= tol
+        assert abs(radius - want_radius) <= tol
+        if support != want_support:
+            union = sorted(set(support) | set(want_support))
+            _, coef, _ = exact.circumcenter(s.vertices[union].tolist())
+            assert min(map(abs, coef)) <= enclosing._IN_BALL_RTOL, name
+        assert_support_certified(s.vertices, support)
+
+    def test_ties_are_covered(self):
+        # The right triangle's weight 0 gives the descent the whole triangle
+        # and the walk the hypotenuse.
+        s = dict(SIMPLEX_BALL_CASES)["corner-m2"]
+        assert simplex_meb_support(s)[2] == (0, 1, 2)
+        assert exact_meb_support(s.vertices)[2] == (1, 2)
+
+    @pytest.mark.parametrize("failure", ["no support", "step cap", "singular solve"])
+    def test_failed_descent_gives_the_walk(self, monkeypatch, failure):
+        # Whatever makes the descent fail, the ball is the walk's, bit for bit.
+        if failure == "no support":
+            monkeypatch.setattr(enclosing, "_descend", lambda sq: None)
+        elif failure == "step cap":
+            monkeypatch.setattr(enclosing, "_DESCENT_STEPS_PER_VERTEX", 0)
+        else:
+            def singular(*args):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "solve", singular)
+        for _, s in SIMPLEX_BALL_CASES:
+            assert_same_bits(simplex_meb_support(s), exact_meb_support(s.vertices))
+
+    @pytest.mark.parametrize("forced", ["first edge", "all vertices"])
+    def test_failed_certificate_gives_the_walk(self, monkeypatch, forced):
+        # A support that leaves a vertex outside its ball, or whose
+        # circumcenter has a negative weight, fails the certificate.  Random
+        # simplices have no ties, so any support but the walk's is wrong.
+        def wrong(sq):
+            return [0, 1] if forced == "first edge" else list(range(len(sq)))
+
+        monkeypatch.setattr(enclosing, "_descend", wrong)
+        checked = 0
+        for name, s in SIMPLEX_BALL_CASES:
+            want = exact_meb_support(s.vertices)
+            if name.startswith("random") and want[2] != tuple(wrong(s.sq_distances)):
+                assert_same_bits(simplex_meb_support(s), want)
+                checked += 1
+        assert checked >= 20
+
+    def test_thin_simplices_fall_back(self):
+        # The descent fails on some thin simplices, whose Cayley-Menger
+        # system squares a condition number near 1e8; they get the walk's ball.
+        fallen = [s for name, s in SIMPLEX_BALL_CASES if enclosing._descend(s.sq_distances) is None]
+        assert fallen
+        for s in fallen:
+            assert_same_bits(simplex_meb_support(s), exact_meb_support(s.vertices))
+
+    def test_cap_before_distances(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("formed the squared distances before the cap")
+
+        monkeypatch.setattr("simplexgeo.core.squared_distance_matrix", unreachable)
+        with pytest.raises(CapExceeded, match="dimension <= 10, got 11"):
+            simplex_meb_support(regular_simplex(11, 11, 1.0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,7 @@ from simplexgeo import (
     thickness,
     validate_simplex,
 )
-from simplexgeo import metrics
+from simplexgeo import apollonius
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     DimensionMismatch,
@@ -135,12 +135,12 @@ class TestBarycentricInradius:
 
     def test_estimate_routes_must_agree(self, monkeypatch):
         # Radicands off by a factor 4 at face 1 fail the coordinate cross-check.
-        def skewed(sq, radicands=metrics.radicands):
+        def skewed(sq, radicands=apollonius.radicands):
             floored, raw = radicands(sq)
             floored[1] *= 4.0
             return floored, raw
 
-        monkeypatch.setattr(metrics, "radicands", skewed)
+        monkeypatch.setattr(apollonius, "radicands", skewed)
         with pytest.raises(ArithmeticError, match="routes disagree at face 1"):
             barycentric_inradius_estimate(corner_triangle())
 
