@@ -78,7 +78,8 @@ class Simplex:
     The quantities the reports share are formed on first use, once per
     simplex, and kept read-only: ``cached_property`` writes the instance
     dict directly, which the frozen dataclass allows, and equality still
-    compares the vertices alone.
+    compares the vertices alone.  A simplex from validate_simplex already
+    holds its edge_factor, which the rank test formed.
     """
 
     vertices: np.ndarray
@@ -119,8 +120,24 @@ class Simplex:
 
     @cached_property
     def edge_factor(self) -> np.ndarray:
-        """Upper triangular R of (v_1 - v_0, ..., v_m - v_0) = QR, without Q."""
+        """Upper triangular R of (v_1 - v_0, ..., v_m - v_0) = QR, without Q:
+        the one factorization of the edges, which the rank test, volume and
+        inverse_altitudes read."""
         return _read_only(np.linalg.qr((self.vertices[1:] - self.vertices[0]).T, mode="r"))
+
+    @cached_property
+    def inverse_altitudes(self) -> np.ndarray:
+        """1/h_i for every vertex i, h_i the altitude from vertex i.
+
+        With (v_1 - v_0, ..., v_m - v_0) = QR, R the edge_factor, the
+        barycentric coordinates of a point x of the affine hull are
+        lambda_{1..m} = R^-1 Q^T (x - v_0).  So the rows of R^-1 are the
+        gradients of lambda_1..lambda_m in the basis Q, the gradient of
+        lambda_0 is minus their sum, and the norm of the gradient of
+        lambda_i is 1/h_i.
+        """
+        inverse = np.linalg.inv(self.edge_factor)
+        return _read_only(np.linalg.norm(np.vstack([-inverse.sum(axis=0), inverse]), axis=1))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -179,10 +196,13 @@ def validate_simplex(vertices) -> Simplex:
     """Build a Simplex after checking shape, finiteness, range and affine rank.
 
     Raises the errors of as_points, TooFewPoints, the errors of check_range,
-    Degenerate when the difference matrix has a singular value <= RANK_RTOL
-    times its largest, and Underflow when the smallest, sv, has sv**2 below
-    (m+1) times the smallest normal float.  Edges are >= sv and inverse
-    altitudes <= sqrt(m)/sv, so then their squares are in range.
+    Degenerate when the edge matrix has a singular value <= RANK_RTOL times
+    its largest, and Underflow when the smallest, sv, has sv**2 below (m+1)
+    times the smallest normal float.  Edges are >= sv and inverse altitudes
+    <= sqrt(m)/sv, so then their squares are in range.  The singular values
+    are those of the m x m edge_factor R, since the edge matrix is QR with
+    orthonormal Q: one QR of the n x m matrix and one SVD of R, and the
+    simplex returned keeps R.
     """
     arr = as_points(vertices)
     if len(arr) < 2:
@@ -193,7 +213,8 @@ def validate_simplex(vertices) -> Simplex:
             f"{m + 1} points in R^{n} cannot be affinely independent"
         )
     check_range(arr)
-    sv = np.linalg.svd(arr[1:] - arr[0], compute_uv=False)
+    s = Simplex(arr)
+    sv = np.linalg.svd(s.edge_factor, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise Degenerate(
             "vertices are affinely dependent within tolerance "
@@ -201,7 +222,7 @@ def validate_simplex(vertices) -> Simplex:
         )
     if sv[-1] ** 2 < (m + 1) * np.finfo(float).tiny:
         raise Underflow(f"simplex too small: singular value {sv[-1]:.3e} underflows when squared")
-    return Simplex(arr)
+    return s
 
 
 def edge_profile(s: Simplex) -> EdgeProfile:
@@ -322,8 +343,8 @@ def require_regular(s: Simplex) -> EdgeProfile:
 
 
 def volume(s: Simplex) -> float:
-    """Euclidean volume, defined only for full-dimensional simplices."""
+    """Euclidean volume |det E| / m!, defined only for full-dimensional
+    simplices: with E = QR, |det E| is the product of R's diagonal."""
     if s.m != s.n:
         raise NotFullDimensional(f"volume needs m == n, got m={s.m}, n={s.n}")
-    diffs = s.vertices[1:] - s.vertices[0]
-    return abs(float(np.linalg.det(diffs))) / math.factorial(s.m)
+    return abs(float(np.prod(np.diag(s.edge_factor)))) / math.factorial(s.m)

@@ -17,11 +17,9 @@ def random_simplex(rng: np.random.Generator, m: int, n: int, coord_range: float 
     """Uniformly sampled valid m-simplex in R^n with coordinates in [-r, r].
 
     Degenerate draws are rejected and resampled; at these sizes rejection
-    is vanishingly rare.
+    is vanishingly rare.  generate checks m, n and coord_range before its
+    first draw.
     """
-    check_int("m", m, 1)
-    check_int("n", n, m)
-    check_positive("coord_range", coord_range)
     for _ in range(64):
         coords = rng.uniform(-coord_range, coord_range, size=(m + 1, n))
         try:
@@ -42,12 +40,16 @@ def generate(
 
     When m or n is None each draw picks its own value in the ranges above,
     with m <= n when only n is given.  Raises InvalidDimension for a seed
-    below 0, a count below 0 or an n below 1.
+    below 0, a count below 0, an m below 1, an n below 1 or below m, or a
+    coord_range that is not a positive finite real, whatever the count.
     """
     check_int("seed", seed, 0)
     check_int("count", count, 0)
+    check_positive("coord_range", coord_range)
+    if m is not None:
+        check_int("m", m, 1)
     if n is not None:
-        check_int("n", n, 1)
+        check_int("n", n, 1 if m is None else m)
     elif m is not None and m > N_MAX:
         raise InvalidDimension(f"m = {m} exceeds n_max = {N_MAX}, the largest drawn n; give n too")
     m_max = M_MAX if n is None else min(M_MAX, n)

@@ -1,11 +1,12 @@
 """Inradius, thickness, width bounds, and related comparison checks.
 
-Both inradii come from the altitudes h_i, read off one triangular factor
-of the edge vectors.  The barycenter lies inside the simplex, so its
-nearest face point is the foot on the nearest facet plane, at distance
-h_i/(m+1).  Full-dimensional simplices additionally get the true
-inradius from 1/r = sum 1/h_i.  A cheaper estimate replaces each face
-distance by the distance to the face centroid, which can only
+Both inradii come from the altitudes h_i: Simplex.inverse_altitudes,
+read once per simplex off the triangular factor of the edge vectors that
+validation formed for its rank test.  The barycenter lies inside the
+simplex, so its nearest face point is the foot on the nearest facet
+plane, at distance h_i/(m+1).  Full-dimensional simplices additionally
+get the true inradius from 1/r = sum 1/h_i.  A cheaper estimate replaces
+each face distance by the distance to the face centroid, which can only
 overestimate.  The exact point-to-face distance, by Wolfe's nearest-point
 algorithm, is the independent route the test suite checks them against.
 """
@@ -114,21 +115,6 @@ def distance_point_to_face(p, face: Simplex) -> float:
     return float(np.linalg.norm(_hull_weights(point, face.vertices) @ face.vertices - point))
 
 
-def _inverse_altitudes(s: Simplex) -> np.ndarray:
-    """1/h_i for every vertex i.
-
-    With (v_1 - v_0, ..., v_m - v_0) = QR, R the simplex's edge_factor, the
-    barycentric coordinates of a point x of the affine hull are
-    lambda_{1..m} = R^-1 Q^T (x - v_0).  So the rows of R^-1 are the
-    gradients of lambda_1..lambda_m in the basis Q, the gradient of lambda_0
-    is minus their sum, and the norm of the gradient of lambda_i is 1/h_i,
-    h_i the altitude from vertex i.
-    """
-    inverse = np.linalg.inv(s.edge_factor)
-    grads = np.vstack([-inverse.sum(axis=0), inverse])
-    return np.linalg.norm(grads, axis=1)
-
-
 def barycentric_inradius(s: Simplex) -> tuple[float, int]:
     """Minimum distance from the barycenter to the faces, with its argmin.
 
@@ -139,10 +125,11 @@ def barycentric_inradius(s: Simplex) -> tuple[float, int]:
     radius lies in the simplex and touches that plane inside the face,
     so the face distances have the same minimum and argmin.
 
-    Cost: one QR of the n x m edge matrix, formed once per simplex, and one
-    m x m inverse, O(m^2 n + m^3), with no iteration.
+    Cost: the simplex's inverse_altitudes, one QR of the n x m edge matrix
+    and one m x m inverse, each formed once per simplex, O(m^2 n + m^3),
+    with no iteration.
     """
-    inv_h = _inverse_altitudes(s)
+    inv_h = s.inverse_altitudes
     argmin = int(np.argmax(inv_h))
     return 1.0 / ((s.m + 1) * float(inv_h[argmin])), argmin
 
@@ -196,7 +183,7 @@ def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
         raise NotFullDimensional(
             f"exact inradius needs m == n, got m={s.m}, n={s.n}"
         )
-    inv_h = _inverse_altitudes(s)
+    inv_h = s.inverse_altitudes
     radius = 1.0 / float(inv_h.sum())
     # The weights sum to 1, so the average is taken over offsets to vertex 0.
     return s.vertices[0] + radius * (inv_h[1:] @ (s.vertices[1:] - s.vertices[0])), radius

@@ -199,8 +199,16 @@ class TestAnalyze:
         assert err == "error: exact ball supports dimension <= 10, got 11\n"
 
     def test_each_quantity_formed_once_per_simplex(self, tmp_path, capsys, monkeypatch):
-        # The squared distances, the radicands and the edge factor are formed
-        # once per simplex, however many reports read them.
+        # The squared distances, the radicands, the edge factor and its
+        # inverse are formed once per simplex, however many reports read
+        # them.  The two SVDs per simplex are the rank test's, of the edge
+        # factor, and the ball's, of its support's edges.
+        rng = np.random.default_rng(26)
+        paths = [
+            write_simplex(tmp_path, f"m{m}-n{n}.json", random_simplex(rng, m, n).vertices)
+            for m in range(1, 11)
+            for n in (m, m + 2)
+        ]
         counts = collections.Counter()
 
         def counting(module, name):
@@ -214,17 +222,14 @@ class TestAnalyze:
 
         counting(core, "squared_distance_matrix")
         counting(apollonius, "radicands")
-        counting(np.linalg, "qr")
-        rng = np.random.default_rng(26)
-        paths = [
-            write_simplex(tmp_path, f"m{m}-n{n}.json", random_simplex(rng, m, n).vertices)
-            for m in range(1, 11)
-            for n in (m, m + 2)
-        ]
+        for name in ("qr", "inv", "svd"):
+            counting(np.linalg, name)
         code, out, err = run_cli(["analyze", *map(str, paths)], capsys)
         assert code == EXIT_OK and err == ""
         assert len(out.splitlines()) == len(paths)
-        assert counts == {"squared_distance_matrix": 20, "radicands": 20, "qr": 20}
+        assert counts == {
+            "squared_distance_matrix": 20, "radicands": 20, "qr": 20, "inv": 20, "svd": 40,
+        }
 
     def test_crlf_input(self, tmp_path, capsys):
         raw = b'{"vertices": [[0, 0],\r\n[1, 0],\r\n[0, 1]]}\r\n'
@@ -717,7 +722,14 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--coord-range", "-5"], ["--coord-range", "inf"], ["--count", "-1"]],
+        [
+            ["--coord-range", "-5"], ["--coord-range", "inf"], ["--count", "-1"],
+            # Every argument is checked before the first draw, so also
+            # when there is none.
+            ["--count", "0", "--coord-range", "nan"], ["--count", "0", "--coord-range", "inf"],
+            ["--count", "0", "--coord-range", "-1"], ["--count", "0", "--m", "0"],
+            ["--count", "0", "--m", "5", "--n", "3"],
+        ],
     )
     def test_corpus(self, capsys, flags):
         code, out, err = run_cli(["corpus", *flags], capsys)

@@ -127,7 +127,10 @@ class TestValidate:
         before = equality()
 
         def cached(x):
-            return [x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter, x.edge_factor]
+            return [
+                x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter, x.edge_factor,
+                x.inverse_altitudes,
+            ]
 
         for a, b in zip(cached(s), cached(t)):
             with pytest.raises(ValueError, match="read-only"):
@@ -146,7 +149,9 @@ class TestValidate:
 def reference_validate_simplex(vertices) -> Simplex:
     """The row-by-row validation that ``validate_simplex`` replaced for real
     2-D arrays, kept as a reference: every row through ``as_point``, then
-    the dimension test and one ``vstack``."""
+    the dimension test and one ``vstack``.  Its rank test follows the same
+    rule, the singular values of the edges' QR factor R; test_rank_rule
+    checks that rule against the SVD of the edges themselves."""
     pts = [as_point(v) for v in vertices]
     if len(pts) < 2:
         raise TooFewPoints("a simplex needs at least 2 vertices")
@@ -163,7 +168,7 @@ def reference_validate_simplex(vertices) -> Simplex:
             f"{m + 1} points in R^{n} cannot be affinely independent"
         )
     check_range(arr)
-    sv = np.linalg.svd(arr[1:] - arr[0], compute_uv=False)
+    sv = np.linalg.svd(np.linalg.qr((arr[1:] - arr[0]).T, mode="r"), compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise Degenerate(
             "vertices are affinely dependent within tolerance "
@@ -264,6 +269,37 @@ def hostile_inputs():
             arr[:] = rows
             yield f"{name}-array", arr
     yield from hostile_arrays()
+
+
+def edges_with_ratio(rng, m, n, ratio):
+    """m+1 vertices around an offset of up to 1e3 whose n x m edge matrix
+    has singular values from 1 down to ``ratio``, times a random scale."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, m)))
+    v, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    sv = np.sort(np.exp(rng.uniform(math.log(ratio), 0.0, m)))[::-1]
+    sv[0], sv[-1] = 1.0, ratio
+    edges = 10.0 ** rng.uniform(0.0, 2.0) * (u * sv) @ v.T
+    return rng.uniform(-1e3, 1e3, n) + np.vstack([np.zeros(n), edges.T])
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_rank_rule(m):
+    """The rank test reads the singular values of the m x m edge factor R.
+    They are those of the n x m edge matrix E = QR, so both give the same
+    decision a hair away from RANK_RTOL.  (A segment has one singular value,
+    so its ratio is 1.)"""
+    rng = np.random.default_rng(2700 + m)
+    for n in (m, m + 1, m + 3):
+        for _ in range(20):
+            for factor, degenerate in ((1.0 - 1e-3, True), (1.0 + 1e-3, False)):
+                vertices = edges_with_ratio(rng, m, n, RANK_RTOL * factor)
+                sv = np.linalg.svd(vertices[1:] - vertices[0], compute_uv=False)
+                assert (sv[-1] <= RANK_RTOL * sv[0]) == degenerate
+                if degenerate:
+                    with pytest.raises(Degenerate):
+                        validate_simplex(vertices)
+                else:
+                    validate_simplex(vertices)
 
 
 class TestValidateMatchesReference:
@@ -523,6 +559,16 @@ class TestVolume:
     def test_unit_tetrahedron(self):
         s = validate_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         assert volume(s) == pytest.approx(1 / 6)
+
+    def test_matches_determinant(self):
+        # |det E| / m! from the edge matrix's LU, against the product of the
+        # QR factor's diagonal that volume reads.
+        rng = np.random.default_rng(2701)
+        for m in range(1, 11):
+            for _ in range(30):
+                s = random_simplex(rng, m, m)
+                det = abs(np.linalg.det(s.vertices[1:] - s.vertices[0])) / math.factorial(m)
+                assert volume(s) == pytest.approx(det, rel=1e-12, abs=0.0)
 
     def test_needs_full_dimension(self):
         with pytest.raises(NotFullDimensional, match="m=2, n=3"):
