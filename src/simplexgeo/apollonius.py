@@ -22,7 +22,6 @@ import numpy as np
 
 from .core import (
     Simplex,
-    barycenter,
     check_index,
     face_centroid,
     face_centroids,
@@ -109,7 +108,7 @@ def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
     first, and the three points are collinear.
     """
     check_index(s, i)
-    center = barycenter(s)
+    center = s.barycenter
     to_face = center - face_centroid(s, i)
     to_vertex = center - s.vertices[i]
     return float(np.linalg.norm(to_face)), float(np.linalg.norm(to_vertex))
@@ -158,7 +157,7 @@ def carnot_regular_check(s: Simplex) -> tuple[float, float]:
     barycenter-to-face-centroid distances of the regular simplex.
     """
     require_regular(s)
-    center = barycenter(s)
+    center = s.barycenter
     gaps = [float(np.linalg.norm(g)) for g in center - face_centroids(s)]
     circum = float(np.linalg.norm(center - s.vertices[0]))
     return sum(gaps), circum + gaps[0]

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Simplex, centroid, check_int, check_positive, edge_profile, extremal_edges
+from .core import Simplex, centroid, check_int, check_positive, extremal_edges
 from .errors import DimensionMismatch, EvaluationFailure, NoSignCriterion
 
 # Fraction of the vertex-value magnitude below which a component counts
@@ -71,7 +71,7 @@ def bisect(s: Simplex) -> tuple[Simplex, Simplex]:
     every other vertex keeps its position, so the two children share
     the splitting facet and partition the parent.
     """
-    rows, (i, j) = s.vertices, edge_profile(s).diam_edge
+    rows, (i, j) = s.vertices, s.profile.diam_edge
     mid = 0.5 * (rows[i] + rows[j])
     # Children of a valid simplex stay affinely independent (one row of the
     # difference matrix is halved; the rank test is relative): no SVD per child.
@@ -112,7 +112,7 @@ def error_estimate(s: Simplex) -> float:
     Uses both the longest and the shortest edge, so it is tighter than
     the coarse m/(m+1) * diam cap whenever the edges are uneven.
     """
-    profile = edge_profile(s)
+    profile = s.profile
     return _edge_error_bound(profile.diam, profile.shor, s.m)
 
 
@@ -192,7 +192,7 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     check_int("max_iter", max_iter, 1)
 
     m, rows = s0.m, s0.vertices
-    profile = edge_profile(s0)
+    profile = s0.profile
     lengths, edge, diam0 = profile.lengths.copy(), profile.diam_edge, profile.diam
     bound = _edge_error_bound(profile.diam, profile.shor, m)
     path, records = [rows], [(None, profile.diam, profile.shor, bound)]

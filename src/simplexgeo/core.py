@@ -71,15 +71,18 @@ def as_points(rows) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Simplex:
     """Ordered vertices of a validated m-simplex, stored as an (m+1, n) array.
 
-    The quantities the reports share are formed on first use, once per
-    simplex, and kept read-only: ``cached_property`` writes the instance
-    dict directly, which the frozen dataclass allows, and equality still
-    compares the vertices alone.  A simplex from validate_simplex already
-    holds its edge_factor, which the rank test formed.
+    The quantities the reports share (offsets, sq_distances, radicand_pair,
+    profile, barycenter, edge_factor and inverse_altitudes) are formed on
+    first use, once per simplex, and kept read-only: ``cached_property``
+    writes the instance dict directly, which the frozen dataclass allows.
+    A simplex from validate_simplex already holds its edge_factor, which
+    the rank test formed.  Simplices compare and hash by identity, as each
+    carries its own caches; ``np.array_equal(s.vertices, t.vertices)``
+    compares their vertices.
     """
 
     vertices: np.ndarray
@@ -94,6 +97,11 @@ class Simplex:
     @property
     def n(self) -> int:
         return self.vertices.shape[1]
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The frame v_i - v_0 of every vertex, row 0 zero."""
+        return _read_only(self.vertices - self.vertices[0])
 
     @cached_property
     def sq_distances(self) -> np.ndarray:
@@ -123,7 +131,7 @@ class Simplex:
         """Upper triangular R of (v_1 - v_0, ..., v_m - v_0) = QR, without Q:
         the one factorization of the edges, which the rank test, volume and
         inverse_altitudes read."""
-        return _read_only(np.linalg.qr((self.vertices[1:] - self.vertices[0]).T, mode="r"))
+        return _read_only(np.linalg.qr(self.offsets[1:].T, mode="r"))
 
     @cached_property
     def inverse_altitudes(self) -> np.ndarray:
@@ -280,8 +288,7 @@ def barycenter(s: Simplex) -> np.ndarray:
 def face_centroids(s: Simplex) -> np.ndarray:
     """Barycenters of all m+1 faces, row i opposite vertex i, as offsets to
     vertex 0: v_0 + (sum of the offsets - offset i) / m."""
-    rel = s.vertices - s.vertices[0]
-    return s.vertices[0] + (rel.sum(axis=0) - rel) / s.m
+    return s.vertices[0] + (s.offsets.sum(axis=0) - s.offsets) / s.m
 
 
 def face_centroid(s: Simplex, i: int) -> np.ndarray:

@@ -17,9 +17,13 @@ def random_simplex(rng: np.random.Generator, m: int, n: int, coord_range: float 
     """Uniformly sampled valid m-simplex in R^n with coordinates in [-r, r].
 
     Degenerate draws are rejected and resampled; at these sizes rejection
-    is vanishingly rare.  generate checks m, n and coord_range before its
-    first draw.
+    is vanishingly rare.  Raises InvalidDimension, before the first draw,
+    for an m below 1, an n below m or a coord_range that is not a positive
+    finite real.
     """
+    check_int("m", m, 1)
+    check_int("n", n, m)
+    check_positive("coord_range", coord_range)
     for _ in range(64):
         coords = rng.uniform(-coord_range, coord_range, size=(m + 1, n))
         try:

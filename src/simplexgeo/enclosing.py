@@ -26,7 +26,6 @@ import numpy as np
 from .core import (
     Simplex,
     as_points,
-    barycenter,
     check_int,
     check_positive,
     check_range,
@@ -292,9 +291,8 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     _check_caps(*pts.shape)
     support = _descend(s.sq_distances)
     if support is not None:
-        rel = pts - pts[0]
-        center, coef = _support_ball(rel, support)
-        dist2 = ((rel - center) ** 2).sum(axis=1)
+        center, coef = _support_ball(s.offsets, support)
+        dist2 = ((s.offsets - center) ** 2).sum(axis=1)
         far2, ball2 = float(dist2.max()), (1.0 + _IN_BALL_RTOL) ** 2 * float(dist2[support].max())
         if coef.min() >= -_IN_BALL_RTOL and far2 <= ball2:
             return pts[0] + center, math.sqrt(far2), tuple(support)
@@ -426,6 +424,5 @@ def fermat_sum_regular(s: Simplex) -> tuple[float, float]:
     The closed form is sqrt(m (m+1) / 2) times the common edge length.
     """
     profile = require_regular(s)
-    center = barycenter(s)
-    total = float(np.linalg.norm(s.vertices - center, axis=1).sum())
+    total = float(np.linalg.norm(s.vertices - s.barycenter, axis=1).sum())
     return total, math.sqrt(s.m * (s.m + 1) / 2.0) * profile.diam

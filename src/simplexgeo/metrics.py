@@ -25,7 +25,6 @@ from .core import (
     centroid,
     check_int,
     check_positive,
-    edge_profile,
     edge_spread,
     regular_simplex,
     validate_simplex,
@@ -143,8 +142,7 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
     """
     floored, _ = s.radicand_pair
     values = np.sqrt(floored) / (s.m * (s.m + 1))
-    rel = s.vertices - s.vertices[0]
-    direct = np.linalg.norm(rel - centroid(rel), axis=1) / s.m
+    direct = np.linalg.norm(s.offsets - centroid(s.offsets), axis=1) / s.m
     bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * math.sqrt(float(s.sq_distances.max())))
     if bad.size:
         i = int(bad[0])
@@ -157,11 +155,10 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
 
 
 def thickness(s: Simplex) -> tuple[float, float]:
-    """(inradius / diameter, estimated inradius / diameter)."""
-    profile = s.profile
-    exact, _ = barycentric_inradius(s)
-    estimate, _ = barycentric_inradius_estimate(s)
-    return exact / profile.diam, estimate / profile.diam
+    """(inradius / diameter, estimated inradius / diameter), as
+    metrics_report gives them."""
+    report = metrics_report(s)
+    return report.thickness, report.thickness_estimate
 
 
 def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
@@ -186,7 +183,7 @@ def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
     inv_h = s.inverse_altitudes
     radius = 1.0 / float(inv_h.sum())
     # The weights sum to 1, so the average is taken over offsets to vertex 0.
-    return s.vertices[0] + radius * (inv_h[1:] @ (s.vertices[1:] - s.vertices[0])), radius
+    return s.vertices[0] + radius * (inv_h[1:] @ s.offsets[1:]), radius
 
 
 def regular_width(n: int, diam: float) -> float:
@@ -255,7 +252,7 @@ def gale_diameter_check(n: int) -> tuple[float, float]:
     base = regular_simplex(n, n, 1.0)
     inradius, _ = barycentric_inradius(base)
     scaled = validate_simplex(base.vertices / (2.0 * inradius))
-    return math.sqrt(n * (n + 1) / 2.0), edge_profile(scaled).diam
+    return math.sqrt(n * (n + 1) / 2.0), scaled.profile.diam
 
 
 def metrics_report(s: Simplex) -> MetricsReport:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from simplexgeo import (
     validate_simplex,
     volume,
 )
-from simplexgeo import bisection
+from simplexgeo import bisection, core
 from simplexgeo.bisection import BisectionStep, BisectionTrace
 from simplexgeo.core import Simplex
 from simplexgeo.corpus import random_simplex
@@ -80,6 +81,25 @@ class TestBisect:
                 assert np.array_equal(lower.vertices[k], s.vertices[k])
             if k != j:
                 assert np.array_equal(upper.vertices[k], s.vertices[k])
+
+    def test_bisect_and_error_estimate_share_the_profile(self, monkeypatch):
+        # Wrapped in every module that binds it, as perfbench's tracer does,
+        # so that a call from any module is counted.
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return edge_profile(s)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("simplexgeo")]:
+            for attr, value in list(vars(module).items()):
+                if value is edge_profile:
+                    monkeypatch.setattr(module, attr, counted)
+        s = validate_simplex([(0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 3.0)])
+        bisect(s)
+        error_estimate(s)
+        assert s.profile is s.profile
+        assert calls == [s]
 
 
 class TestBounds:
@@ -280,7 +300,7 @@ class TestSolve:
             calls.append(s)
             return edge_profile(s)
 
-        monkeypatch.setattr(bisection, "edge_profile", counted)
+        monkeypatch.setattr(core, "edge_profile", counted)  # which Simplex.profile calls
         s = validate_simplex(vertices)
         system = SystemFunction(dimension=s.m, evaluate=lambda x: x - root, name="shifted")
         trace = solve(system, s, 1e-6, 100)

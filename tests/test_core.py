@@ -111,8 +111,9 @@ class TestValidate:
 
     def test_cached_quantities(self):
         # Each shared quantity is formed once and kept read-only; simplices
-        # with equal vertices share none of them, and equality reads the
-        # vertices alone, before and after the caches are filled.
+        # with equal vertices share none of them, and equality, which is
+        # identity, gives the same outcomes before and after the caches are
+        # filled.
         s, t = validate_simplex([(0, 0), (1, 0), (0, 1)]), validate_simplex([(0, 0), (1, 0), (0, 1)])
 
         def equality():
@@ -128,8 +129,8 @@ class TestValidate:
 
         def cached(x):
             return [
-                x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter, x.edge_factor,
-                x.inverse_altitudes,
+                x.offsets, x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter,
+                x.edge_factor, x.inverse_altitudes,
             ]
 
         for a, b in zip(cached(s), cached(t)):
@@ -137,8 +138,16 @@ class TestValidate:
                 a[(0,) * a.ndim] = 1.0
             assert not np.shares_memory(a, b) and np.array_equal(a, b)
         assert s.profile is s.profile and s.profile is not t.profile
+        assert np.array_equal(s.offsets, s.vertices - s.vertices[0]) and s.offsets is s.offsets
         assert equality() == before
         assert [f.name for f in dataclasses.fields(Simplex)] == ["vertices"]
+
+    def test_identity_equality_and_hash(self):
+        s, t = validate_simplex([(0, 0), (1, 0), (0, 1)]), validate_simplex([(0, 0), (1, 0), (0, 1)])
+        assert s == s and not s == t and s != t
+        assert len({s, t}) == 2 and hash(s) == hash(s)
+        assert s not in [t] and [t, s].index(s) == 1
+        assert np.array_equal(s.vertices, t.vertices)
 
     def test_order_preserved(self):
         pts = [(3.0, 1.0), (0.0, 0.0), (1.0, 4.0)]
@@ -619,3 +628,15 @@ def test_edge_profile_matches_pair_scan(mixed_corpus):
                     shor, shor_edge = d, (i, j)
         assert (prof.diam, prof.diam_edge) == (diam, diam_edge)
         assert (prof.shor, prof.shor_edge) == (shor, shor_edge)
+
+
+@pytest.mark.parametrize(
+    "m, n, coord_range",
+    [(2, 3, -1.0), (2, 3, math.nan), (2, 3, math.inf), (0, 3, 10.0), (4, 3, 10.0)],
+    ids=["negative-range", "nan-range", "inf-range", "m-zero", "n-below-m"],
+)
+def test_random_simplex_checks_its_arguments(m, n, coord_range):
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidDimension):
+        random_simplex(rng, m, n, coord_range)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
