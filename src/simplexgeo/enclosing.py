@@ -6,13 +6,13 @@ barycenter it encloses the simplex, so the exact minimum enclosing ball
 radius never exceeds it; Jung's bound provides a second cap in terms of
 the diameter.  The exact ball of a point set (``exact_meb_support``, and
 the subset bounds) comes from an active-set walk that certifies the ball
-when it stops, and that updates a QR factor of its support one point at a
-time rather than factorising at every step (see ``_walk``).  The exact
-ball of a Simplex (``simplex_meb_support``, under ``combined_enclosure``
-and ``metrics.eggleston_suite``) picks its support by a Cayley-Menger
-descent on the simplex's squared distances (see ``_descend``), forms the
-ball once from coordinates and certifies it as the walk does; the walk
-takes over when that fails.
+when it stops (see ``_walk``).  The exact ball of a Simplex
+(``simplex_meb_support``, under ``combined_enclosure`` and
+``metrics.eggleston_suite``) picks its support by a Cayley-Menger descent
+on the simplex's squared distances (see ``_descend``), forms the ball once
+from coordinates and certifies it as the walk does; the walk takes over
+when that fails.  Both take a support's circumcenter from one routine,
+``_support_ball``: an SVD of the support's edge vectors.
 """
 
 from __future__ import annotations
@@ -101,30 +101,6 @@ def _coerce_points(points) -> np.ndarray:
     return pts
 
 
-def _append(qt: np.ndarray, tri: np.ndarray, tri_inv: np.ndarray, j: int, edge: np.ndarray) -> None:
-    """Append ``edge`` as row j of a thin QR factor of edge vectors.
-
-    The first j rows of ``qt`` are orthonormal, and the edge vectors are the
-    rows of ``tri[:j, :j].T @ qt[:j]``, with ``tri`` upper triangular and
-    ``tri_inv`` its inverse.  Classical Gram-Schmidt applied twice keeps the
-    new row orthogonal to the others to rounding at every condition the
-    walk admits, where a Gram or Cholesky factor would square the condition
-    number; the inverse grows by bordering.
-    """
-    basis = qt[:j]
-    proj = basis @ edge
-    rest = edge - proj @ basis
-    again = basis @ rest
-    rest -= again @ basis
-    proj += again
-    norm = math.hypot(*rest)  # no underflow for a short residual
-    qt[j] = rest / norm
-    tri[:j, j] = proj
-    tri[j, j] = norm
-    tri_inv[:j, j] = tri_inv[:j, :j] @ proj / -norm
-    tri_inv[j, j] = 1.0 / norm
-
-
 def _walk(cols: np.ndarray) -> tuple[np.ndarray, list]:
     """Center and support of the minimum enclosing ball, by the active-set
     walk of Fischer, Gaertner and Kutz (ESA 2003).
@@ -140,26 +116,16 @@ def _walk(cols: np.ndarray) -> tuple[np.ndarray, list]:
     farther than (1 + _IN_BALL_RTOL) R from the support's circumcenter, R
     its circumradius, up to the rounding of the computed circumcenter.
 
-    The walk carries a thin QR factor ``Q R`` of the support's edge vectors
-    ``p_j - p_0``, and ``R^-1``, across steps.  As ``|p_j - p_0|^2 =
-    |R[:, j]|^2 = 2 b_j``, the circumcenter is ``p_0 + Q R^-T b``, its
-    coefficients on the edges are ``R^-1 R^-T b``, and ``Q Q^T`` projects
-    onto the hull's directions: no step factorises or solves.  A joining
-    point is appended in O(k n), k <= 11 the support size; a drop rebuilds
-    the factor by appending the points that remain, in O(k^2 n).
+    A step costs one O(N n) pass over the points plus one ``_support_ball``,
+    an SVD of at most 10 support edges, which gives the circumcenter, its
+    coefficients and a basis of the hull's directions.
     """
-    n, count = cols.shape
-    dim = min(n, count - 1)
-    qt, tri, tri_inv = np.zeros((dim, n)), np.zeros((dim, dim)), np.zeros((dim, dim))
+    count = cols.shape[1]
     center = cols.mean(axis=1)
     rel = cols - center[:, None]
     support = [int(np.argmax(np.einsum("ij,ij->j", rel, rel)))]
     for _ in range(WALK_MAX_STEPS):
-        edges = len(support) - 1
-        basis, inv = qt[:edges], tri_inv[:edges, :edges]
-        half = 0.5 * np.einsum("ij,ij->j", tri[:edges, :edges], tri[:edges, :edges])
-        coords = half @ inv  # the circumcenter's, along Q
-        target = cols[:, support[0]] + coords @ basis
+        target, coef, basis = _support_ball(cols[:, support].T)
         rel = cols - center[:, None]
         dist2 = np.einsum("ij,ij->j", rel, rel)
         r2 = float(dist2.max())
@@ -176,17 +142,12 @@ def _walk(cols: np.ndarray) -> tuple[np.ndarray, list]:
             stop = int(np.argmin(t))
             if t[stop] < 1.0:
                 center = center + t[stop] * step
-                _append(qt, tri, tri_inv, edges, cols[:, stop] - cols[:, support[0]])
                 support.append(stop)
                 continue
         center = target
-        coef = inv @ coords
-        coef = np.concatenate(([1.0 - coef.sum()], coef))
         if coef.min() >= -_IN_BALL_RTOL:
             return center, support
         support.pop(int(np.argmin(coef)))
-        for j, idx in enumerate(support[1:]):
-            _append(qt, tri, tri_inv, j, cols[:, idx] - cols[:, support[0]])
     raise ArithmeticError(f"exact ball walk did not converge in {WALK_MAX_STEPS} steps")
 
 
@@ -291,7 +252,7 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     _check_caps(*pts.shape)
     support = _descend(s.sq_distances)
     if support is not None:
-        center, coef = _support_ball(s.offsets, support)
+        center, coef, _ = _support_ball(s.offsets[support])
         dist2 = ((s.offsets - center) ** 2).sum(axis=1)
         far2, ball2 = float(dist2.max()), (1.0 + _IN_BALL_RTOL) ** 2 * float(dist2[support].max())
         if coef.min() >= -_IN_BALL_RTOL and far2 <= ball2:
@@ -299,21 +260,26 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     return _walk_ball(pts, np.ascontiguousarray(pts.T))
 
 
-def _support_ball(rel: np.ndarray, support: list) -> tuple[np.ndarray, np.ndarray]:
-    """Circumcenter of the rows ``rel[support]`` within their affine hull, and
-    its barycentric coefficients on them.
+def _support_ball(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Circumcenter of the affinely independent rows ``sup`` within their
+    affine hull, its barycentric coefficients on them, and an orthonormal
+    basis of the hull's directions as rows.
 
-    With E = U S V^T the edge vectors to the first support row and b their
-    halved squared lengths, the circumcenter is that row plus V S^-1 U^T b,
-    the least-norm solution of E x = b, and its coefficients on the edges
-    are U S^-2 U^T b.
+    For rows p_0..p_k with centroid g, let E = U S V^T hold the edge
+    vectors p_j - p_0 and b_j = (|p_j - g|^2 - |p_0 - g|^2) / 2.  The
+    circumcenter is g + V S^-1 U^T b, as the least-norm solution x of
+    E x = b levels the squared distances from g + x to the rows; its
+    coefficients on p_1..p_k are 1/(k+1) + U S^-2 U^T b.  The basis is V^T.
     """
-    origin = rel[support[0]]
-    edges = rel[support[1:]] - origin
+    # Centered at g: from sup[0], exact ties broke (a radius 1.0 read 1.0000000000000004).
+    centroid = sup.mean(axis=0)
+    rel = sup - centroid
+    edges = sup[1:] - sup[0]
+    half = 0.5 * np.einsum("ij,ij->i", rel, rel)
     u, sv, vt = np.linalg.svd(edges, full_matrices=False)
-    w = 0.5 * np.einsum("ij,ij->i", edges, edges) @ u / sv
-    coef = u @ (w / sv)
-    return origin + w @ vt, np.concatenate(([1.0 - coef.sum()], coef))
+    w = (half[1:] - half[0]) @ u / sv
+    coef = 1.0 / len(sup) + u @ (w / sv)
+    return centroid + w @ vt, np.concatenate(([1.0 - coef.sum()], coef)), vt
 
 
 def exact_meb(points) -> tuple[np.ndarray, float]:

@@ -299,11 +299,10 @@ def _reference_support_ball(pts):
 
 
 def reference_walk(pts):
-    """The active-set walk with every step's circumcenter solved afresh.
-
-    This was ``enclosing._walk`` before the walk carried its factor across
-    steps; the tolerances and tie rules are the same.  Returns the center,
-    the support and the number of steps.
+    """The active-set walk with every step's circumcenter from a Householder
+    QR and two triangular solves, a route independent of the walk's SVD in
+    ``enclosing._support_ball``; the tolerances and tie rules are the same.
+    Returns the center, the support and the number of steps.
     """
     center = pts.mean(axis=0)
     support = [int(np.argmax(np.einsum("ij,ij->i", pts - center, pts - center)))]
@@ -482,7 +481,8 @@ def assert_same_walk(monkeypatch, pts):
 
 
 class TestWalkAgainstReference:
-    """The walk that carries its factor against the one that solves afresh."""
+    """The walk, whose circumcenters come from an SVD, against the one whose
+    circumcenters come from a Householder QR."""
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_simplices(self, monkeypatch, m):
@@ -504,7 +504,7 @@ class TestWalkAgainstReference:
 
 def near_hull_triangle():
     """A triangle whose third vertex lies 1.02 * _AFFINE_RTOL * r off the line
-    through the other two, r its circumradius: the support takes all three."""
+    through the other two, r its circumradius: the third vertex joins the support."""
     angle = 0.51 * enclosing._AFFINE_RTOL
     return np.array([[-1.0, 0.0], [1.0, angle], [1.0, -angle]])
 
@@ -518,33 +518,34 @@ STRESS_SETS = {
 
 
 @pytest.mark.parametrize("name", sorted(STRESS_SETS))
-def test_factor_health(monkeypatch, name):
-    """After every append, in a walk step or in the rebuild after a drop,
-    Q has orthonormal rows and R^T Q reproduces the edge vectors, both to
-    64 * k * eps with k the support size, whatever the support's condition."""
-    append = enclosing._append
-    edges, rebuilds = [], []
+def test_support_ball_health(monkeypatch, name):
+    """At every call of ``_support_ball`` in the walk, V^T has orthonormal
+    rows, the center solves the edge system E (c - p_0) = b and the
+    coefficients reproduce the center, each to 64 * k * eps times the
+    matching norms, k the support size, whatever the support's condition."""
+    support_ball = enclosing._support_ball
+    sizes = []
     eps = np.finfo(float).eps
 
-    def checked(qt, tri, tri_inv, j, edge):
-        append(qt, tri, tri_inv, j, edge)
-        if j < len(edges):
-            rebuilds.append(j)
-        del edges[j:]
-        edges.append(edge.copy())
-        tol = 64 * (j + 2) * eps
-        q, r, r_inv, e = qt[: j + 1], tri[: j + 1, : j + 1], tri_inv[: j + 1, : j + 1], np.array(edges)
-        assert np.abs(q @ q.T - np.eye(j + 1)).max() <= tol
-        assert np.linalg.norm(r.T @ q - e) <= tol * np.linalg.norm(e)
-        assert np.array_equal(np.triu(r), r) and np.array_equal(np.triu(r_inv), r_inv)
-        assert np.abs(r_inv @ r - np.eye(j + 1)).max() <= tol * np.linalg.norm(r_inv) * np.linalg.norm(r)
+    def checked(sup):
+        center, coef, vt = support_ball(sup)
+        k = len(sup)
+        sizes.append(k)
+        tol = 64 * k * eps
+        assert np.abs(vt @ vt.T - np.eye(k - 1)).max(initial=0.0) <= tol
+        edges, offset = sup[1:] - sup[0], center - sup[0]
+        half = 0.5 * np.einsum("ij,ij->i", edges, edges)
+        residual = np.linalg.norm(edges @ offset - half)
+        assert residual <= tol * (np.linalg.norm(edges) * np.linalg.norm(offset) + np.linalg.norm(half))
+        assert np.linalg.norm(coef @ sup - center) <= tol * np.linalg.norm(coef) * np.linalg.norm(sup)
+        return center, coef, vt
 
-    monkeypatch.setattr(enclosing, "_append", checked)
-    _, _, support = exact_meb_support(STRESS_SETS[name]())
+    monkeypatch.setattr(enclosing, "_support_ball", checked)
+    exact_meb_support(STRESS_SETS[name]())
     if name == "near-hull-triangle":
-        assert support == (0, 1, 2)
+        assert 3 in sizes, "the third vertex joins the support"
     if name == "shell-0.999-10":
-        assert rebuilds, "the thin shell drops support points"
+        assert any(b < a for a, b in zip(sizes, sizes[1:])), "the thin shell drops support points"
 
 
 def assert_exact_certificate(pts):
