@@ -199,32 +199,44 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# The diameter scan takes the kept points in blocks of _PAIR_ROWS against
-# every later one: at most 16 K n floats of differences for K kept points,
-# 12.8 MB at the exact ball's caps of 10^4 points in R^10.
-_PAIR_ROWS = 16
+# The diameter scan takes the kept points in blocks of _GRAM_ROWS against
+# every later one.  A block's product is formed before the last one is
+# dropped, so for K kept points and any n the scan holds at most
+# 2 _GRAM_ROWS K floats of squared lengths and _GRAM_ROWS K bytes of their
+# test: 10.9 MB at the exact ball's cap of 10^4 points.
+_GRAM_ROWS = 64
 
 
 def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float, support: tuple) -> float:
     # |p - q| <= |p - center| + radius, so a pair longer than every pair through
     # a support point has both ends where that sum reaches its length.  Every
     # support point is on the sphere, so the bound takes them all rather than
-    # the one that rounding puts farthest from the center.  Every pair length,
-    # here and in the scan below, is the same sum along a row, so the result is
-    # one of them bit for bit.
-    def farthest2(rows: np.ndarray, point: np.ndarray) -> float:
-        gaps = rows - point
-        return float(np.max(np.einsum("ij,ij->i", gaps, gaps)))
-
-    best = max(farthest2(pts, pts[i]) for i in support)
-    gaps = pts - center
-    dist = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-    kept = pts[dist + radius >= math.sqrt(best) * (1.0 - 1e-9)]
-    # A block also takes some pairs reversed, whose differences are exactly negated.
-    for low in range(0, kept.shape[0] - 1, _PAIR_ROWS):
-        diffs = kept[low : low + _PAIR_ROWS, None] - kept[low + 1 :]
-        best = max(best, float(np.einsum("ijk,ijk->ij", diffs, diffs).max()))
-    return math.sqrt(best)
+    # the one that rounding puts farthest from the center.  The squared lengths
+    # |a|^2 + |b|^2 - 2 a.b, a and b the offsets to the center in one (n, N)
+    # copy, choose: the bound's 1e-9 covers their rounding, and ``longest``
+    # holds the largest seen.  Only the pairs within enclosing.RESCAN_RTOL of
+    # it are measured, each by the sum along a row of p - q that an all-pairs
+    # scan takes, so the result is one of those sums bit for bit.
+    rel = np.subtract(pts.T, center[:, None], order="C")
+    sq = np.einsum("ij,ij->j", rel, rel)
+    gram = (-2.0 * rel[:, support]).T @ rel
+    gram += sq
+    longest = float((gram.max(axis=1) + sq[list(support)]).max())
+    kept = np.flatnonzero(np.sqrt(sq) + radius >= math.sqrt(longest) * (1.0 - 1e-9))
+    rel, sq, one = rel[:, kept], sq[kept], np.ones(kept.size)
+    # One product per block gives |a|^2 + |b|^2 - 2 a.b, from rows [a, |a|^2, 1]
+    # and [-2 b, 1, |b|^2].  A block also takes some pairs reversed, and some
+    # points with themselves.
+    left, right, chosen = np.vstack([rel, sq, one]), np.vstack([-2.0 * rel, one, sq]), []
+    for low in range(0, kept.size - 1, _GRAM_ROWS):
+        gram = left[:, low : low + _GRAM_ROWS].T @ right[:, low + 1 :]
+        i, j = np.nonzero(gram >= (1.0 - enclosing.RESCAN_RTOL) * longest)
+        chosen.append((low + i, low + 1 + j, gram[i, j]))
+        longest = float(chosen[-1][2].max(initial=longest))
+    a, b, approx = map(np.concatenate, zip(*chosen))
+    near = approx >= (1.0 - enclosing.RESCAN_RTOL) * longest
+    gaps = pts[kept[a[near]]] - pts[kept[b[near]]]
+    return math.sqrt(float(np.einsum("ij,ij->i", gaps, gaps).max()))
 
 
 def cmd_enclose(args) -> int:

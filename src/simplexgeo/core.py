@@ -9,6 +9,7 @@ supplied them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -35,15 +36,24 @@ RANK_RTOL = 1e-9
 REGULAR_RTOL = 1e-9
 
 
+# The entries of an object array that count as real coordinates.
+_REAL = (numbers.Real, np.bool_)
+
+
 def as_point(coords) -> np.ndarray:
     """Coerce to a finite 1-D float64 array with at least one coordinate.
 
     Coordinates must be real: bool, integer, float or, converted entry by
-    entry, Python objects.  Strings, complex numbers and times raise
-    InvalidPoint rather than being parsed, truncated or read as counts.
+    entry, objects that are real numbers (``numbers.Real`` or numpy bools).
+    Strings, complex numbers, times and any other object raise InvalidPoint
+    rather than being parsed, truncated or read as counts; so do scalars and
+    nested lists, which are not 1-D coordinate lists.
     """
-    p = np.asarray(coords)
-    if p.dtype.kind not in "biufO":
+    try:
+        p = np.asarray(coords)
+    except ValueError:  # lists nested to uneven depths
+        raise InvalidPoint("a point must be a non-empty 1-D coordinate list") from None
+    if p.dtype.kind not in "biufO" or p.dtype == object and not all(isinstance(x, _REAL) for x in p.flat):
         raise InvalidPoint("point coordinates must be real numbers")
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -63,7 +73,7 @@ def as_points(rows) -> np.ndarray:
     real = type(rows) is np.ndarray and rows.ndim == 2 and rows.dtype.kind in "biuf"
     arr = np.asarray(rows, dtype=float, order="C") if real and rows.size else None
     if arr is None or not np.isfinite(arr).all():
-        pts = [as_point(v) for v in rows]
+        pts = [as_point(v) for v in (rows if np.iterable(rows) else [rows])]
         for p in pts[1:]:
             if p.size != pts[0].size:
                 raise DimensionMismatch(f"vertices mix coordinate dimensions {pts[0].size} and {p.size}")

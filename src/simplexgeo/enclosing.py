@@ -50,6 +50,12 @@ SUBSET_MAX_POINTS = 15
 # support affinely independent.  The final radius covers every point.
 _IN_BALL_RTOL = 1e-12
 _AFFINE_RTOL = 1e-9
+# Squared lengths that choose the farthest points and the longest pairs, by
+# sums across an (n, N) copy or by |a|^2 + |b|^2 - 2 a.b with |a|, |b| <= R,
+# are off from the row sums that measure them by at most about
+# 2 (n + 3) eps (|a|^2 + |b|^2), under 1e-14 of diam^2 for n <= 10.  Every
+# point or pair within this share of the largest is measured again by rows.
+RESCAN_RTOL = 1e-12
 # Each step of the walk adds or drops one support point.  The most seen
 # was 130 steps, for 10^4 points in a thin shell in R^10.
 WALK_MAX_STEPS = 1000
@@ -165,12 +171,15 @@ def _check_caps(count: int, n: int) -> None:
 
 def _walk_ball(pts: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, tuple]:
     """The walk's ball of the rows ``pts``, given ``cols``, their (n, N) copy."""
-    center, support = _walk(cols - cols[:, :1])
-    # Cover every point exactly; the inflation is at rounding scale.  Summed
-    # along rows: a sum across the rows of the (n, N) copy rounds differently
+    offsets = cols - cols[:, :1]
+    center, support = _walk(offsets)
+    # Cover every point exactly; the inflation is at rounding scale.  Sums
+    # across the (n, N) copy choose the farthest points, and only those are
+    # summed again along rows for the radius: a sum across rounds differently
     # from n = 8 on, and would move the printed radius.
-    rel = pts - pts[0]
-    radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
+    dist2 = ((offsets - center[:, None]) ** 2).sum(axis=0)
+    far = pts[dist2 >= (1.0 - RESCAN_RTOL) * dist2.max()]
+    radius = float(np.sqrt((((far - pts[0]) - center) ** 2).sum(axis=1).max()))
     return pts[0] + center, radius, tuple(sorted(support))
 
 

@@ -70,6 +70,44 @@ def translate_far(points, k: int) -> np.ndarray:
     return points + 10.0**k * point_set_diameter(points) * direction
 
 
+def unit_sphere(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    pts = rng.normal(size=(count, n))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def shell_cloud(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    return unit_sphere(rng, count, n) * rng.uniform(0.9, 1.0, size=(count, 1))
+
+
+def _moved_gaussian() -> np.ndarray:
+    rng = np.random.default_rng(31)
+    direction = rng.normal(size=3)
+    return rng.normal(size=(1000, 3)) + 1e8 * direction / np.linalg.norm(direction)
+
+
+def _signed_permutations() -> np.ndarray:
+    """Points at one distance from the center, and pairs at one length, in
+    exact arithmetic; the rounding of each sum decides which is longest."""
+    rng = np.random.default_rng(9)
+    v = rng.normal(size=8)
+    perms = np.array([rng.permutation(v) for _ in range(200)])
+    return np.vstack([perms, -perms]) + 0.3
+
+
+# Clouds on which a squared length summed across coordinates, or taken from
+# a Gram product, may rank points or pairs otherwise than the row sum that
+# measures them: coordinates far larger than the cloud, row sums that add
+# pairwise (n >= 8), and many points or pairs tied in exact arithmetic.  The
+# last one fails when nothing within a margin of the largest is summed again.
+RESCAN_CLOUDS = {
+    "gauss-3-moved-1e8": _moved_gaussian(),
+    "shell-8": shell_cloud(np.random.default_rng(32), 1000, 8),
+    "shell-10": shell_cloud(np.random.default_rng(33), 1000, 10),
+    "cross-polytope-5-repeated": np.repeat(np.vstack([np.eye(5), -np.eye(5)]), 4, axis=0),
+    "signed-permutations-8": _signed_permutations(),
+}
+
+
 def brute_force_meb(points) -> float:
     """Smallest enclosing radius by exhaustive support-subset enumeration.
 

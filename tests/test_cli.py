@@ -14,6 +14,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,7 +47,15 @@ from simplexgeo.cli import (
 from simplexgeo.corpus import random_simplex
 from simplexgeo.enclosing import exact_meb_support
 
-from conftest import brute_force_meb, reference_render, translate_far, translation_cases
+from conftest import (
+    RESCAN_CLOUDS,
+    brute_force_meb,
+    reference_render,
+    shell_cloud,
+    translate_far,
+    translation_cases,
+    unit_sphere,
+)
 
 
 def write_simplex(tmp_path, name, vertices):
@@ -447,15 +456,6 @@ def all_pairs_diameter(pts):
     return math.sqrt(best)
 
 
-def unit_sphere(rng, count, n):
-    pts = rng.normal(size=(count, n))
-    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-
-def shell_cloud(rng, count, n):
-    return unit_sphere(rng, count, n) * rng.uniform(0.9, 1.0, size=(count, 1))
-
-
 class TestSetDiameter:
     """The ball-pruned diameter equals the all-pairs maximum exactly."""
 
@@ -473,9 +473,11 @@ class TestSetDiameter:
             np.full((50, 2), 1.25),
             np.outer(np.random.default_rng(7).uniform(-4, 9, size=300), [1.0, -2.0, 0.5]),
             np.array([[0.0, 1.0], [3.0, 5.0]]),
+            *RESCAN_CLOUDS.values(),
         ],
         ids=["gauss-2", "gauss-5-offset", "gauss-10", "shell-2", "shell-5",
-             "circle-2000", "sphere-10", "duplicates", "one-point-repeated", "collinear", "two-points"],
+             "circle-2000", "sphere-10", "duplicates", "one-point-repeated", "collinear", "two-points",
+             *RESCAN_CLOUDS],
     )
     def test_matches_all_pairs(self, pts):
         center, radius, support = exact_meb_support(pts)
@@ -494,6 +496,20 @@ class TestSetDiameter:
                 pts = rng.uniform(-5.0, 5.0, size=n) * scale + scale * pts
                 center, radius, support = exact_meb_support(pts)
                 assert _set_diameter(pts, center, radius, support) == all_pairs_diameter(pts)
+
+    def test_gram_blocks_bound_the_working_memory(self):
+        # On a circle every point may end a longest pair, so none is pruned
+        # and the scan meets K = N = 10^4: an unblocked K x K Gram matrix
+        # would take 800 MB.
+        pts = circle(10000)
+        center, radius, support = exact_meb_support(pts)
+        tracemalloc.start()
+        try:
+            _set_diameter(pts, center, radius, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestSolve:

@@ -158,10 +158,11 @@ class TestValidate:
 def reference_validate_simplex(vertices) -> Simplex:
     """The row-by-row validation that ``validate_simplex`` replaced for real
     2-D arrays, kept as a reference: every row through ``as_point``, then
-    the dimension test and one ``vstack``.  Its rank test follows the same
-    rule, the singular values of the edges' QR factor R; test_rank_rule
-    checks that rule against the SVD of the edges themselves."""
-    pts = [as_point(v) for v in vertices]
+    the dimension test and one ``vstack``; a scalar is one row.  Its rank
+    test follows the same rule, the singular values of the edges' QR factor
+    R; test_rank_rule checks that rule against the SVD of the edges
+    themselves."""
+    pts = [as_point(v) for v in (vertices if np.iterable(vertices) else [vertices])]
     if len(pts) < 2:
         raise TooFewPoints("a simplex needs at least 2 vertices")
     n = pts[0].size
@@ -212,6 +213,11 @@ HOSTILE_ROWS = [
     ("float16", [[0.1, 0.2], [1.3, 0.0], [0.0, 1.7]], np.float16),
     ("object-numbers", [[0, 0.5], [1, 0], [0, 1]], object),
     ("object-string", [[0, 0], [1, "a"], [0, 1]], object),
+    ("object-numeric-string", [[0, 0], [1, "2.5"], [0, 1]], object),
+    ("object-complex", [[0, 0], [1, 1 + 0j], [0, 1]], object),
+    ("object-dict", [[0, 0], [1, {}], [0, 1]], object),
+    ("nested", [[0, 0], [1, [2, 3]], [0, 1]], object),
+    ("scalar", 5.0, float),
     ("object-none", [[0, 0], [1, None], [0, 1]], object),
     ("object-big-int", [[0, 0], [10**400, 0], [0, 1]], object),
     ("object-big-int-fits", [[0, 0], [10**30, 0], [0, 10**30]], object),
@@ -325,9 +331,12 @@ class TestValidateMatchesReference:
         }
         for cls in (
             InvalidPoint, TooFewPoints, DimensionMismatch, Degenerate, OverflowError,
-            Underflow, ValueError, TypeError, RuntimeWarning,
+            Underflow, RuntimeWarning,
         ):
             assert any(isinstance(k, type) and issubclass(k, cls) for k in kinds), cls
+        # No input that is not a list of real coordinate lists escapes the gate
+        # as a bare ValueError or TypeError.
+        assert not kinds & {ValueError, TypeError}
         assert any(isinstance(k, tuple) for k in kinds)  # shapes of valid simplices
 
     def test_random_arrays(self, mixed_corpus):
@@ -345,7 +354,10 @@ class TestValidateMatchesReference:
 # reading it as a count.
 NOT_REAL = [
     "strings-lists", "strings-array", "bad-strings-lists", "bad-strings-array",
-    "object-string-lists", "complex-lists", "complex-array", "complex-real-array", "datetime",
+    "object-string-lists", "object-string-array", "object-numeric-string-lists",
+    "object-numeric-string-array", "object-complex-lists", "object-complex-array",
+    "object-dict-lists", "object-dict-array", "nested-array",
+    "complex-lists", "complex-array", "complex-real-array", "datetime",
 ]
 
 
@@ -359,6 +371,15 @@ def test_coordinates_that_are_not_real_raise_invalid_point(name):
         assert point_set_outcome(point_set, vertices) == (
             InvalidPoint, "point coordinates must be real numbers"
         )
+
+
+@pytest.mark.parametrize("name", ["nested-lists", "scalar-lists", "scalar-array", "0-d"])
+def test_rows_that_are_not_coordinate_lists_raise_invalid_point(name):
+    vertices = dict(hostile_inputs())[name]
+    want = (InvalidPoint, "a point must be a non-empty 1-D coordinate list")
+    assert validation_outcome(validate_simplex, vertices) == want
+    for point_set in POINT_SET_FUNCTIONS.values():
+        assert point_set_outcome(point_set, vertices) == want
 
 
 def _width(rows) -> int:

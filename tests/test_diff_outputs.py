@@ -1,7 +1,10 @@
-"""The JSON comparison of tools/diff_outputs.py, which the change notes quote."""
+"""The JSON comparison and the workload choice of tools/diff_outputs.py, which
+the change notes quote."""
 
 import importlib.util
 import json
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,44 @@ def test_changed_integer_is_structural():
     moves, structural = diff_outputs.compare_json(OLD, moved(support=[0, 2]))
     assert moves == {}
     assert structural == ["$.payload.meb.support[] 3 -> 2"]
+
+
+def fake_workloads(monkeypatch):
+    """Stands in for perfbench's workloads, with one op per workload, and
+    for the runs of both trees; returns the names whose ops were run."""
+    built = []
+
+    def build(name):
+        def workload(seed, workdir):
+            built.append(name)
+            op = types.SimpleNamespace(key="r0.0", argv=("enclose", name))
+            return types.SimpleNamespace(rounds=[[op]])
+        return workload
+
+    fake = types.ModuleType("workloads")
+    fake.BY_NAME = {name: build(name) for name in diff_outputs.WORKLOADS}
+    monkeypatch.setitem(sys.modules, "workloads", fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    monkeypatch.setattr(diff_outputs, "run_tree", lambda src, ops, workdir: [[0, "", "", None] for _ in ops])
+    return built
+
+
+def test_workload_flag_chooses_the_workloads(monkeypatch, capsys):
+    built = fake_workloads(monkeypatch)
+    root = str(diff_outputs.ROOT)
+    assert diff_outputs.main([root, "--workload", "solve-deep", "--workload", "enclose-cloud"]) == 0
+    assert built == ["solve-deep", "enclose-cloud"]
+    out = capsys.readouterr().out
+    assert "solve-deep: 1 of 1 distinct ops identical" in out and "analyze-low-m" not in out
+    built.clear()
+    assert diff_outputs.main([root]) == 0
+    assert built == list(diff_outputs.WORKLOADS)
+
+
+def test_unknown_workload_is_refused(monkeypatch, capsys):
+    built = fake_workloads(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        diff_outputs.main([str(diff_outputs.ROOT), "--workload", "enclose"])
+    assert exc.value.code == 2 and built == []
+    assert "invalid choice: 'enclose'" in capsys.readouterr().err

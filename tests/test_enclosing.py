@@ -39,7 +39,7 @@ from simplexgeo.errors import (
 )
 
 import exact
-from conftest import brute_force_meb, random_rigid_motion
+from conftest import RESCAN_CLOUDS, brute_force_meb, random_rigid_motion
 
 
 def derived_obtuse_triangle():
@@ -546,6 +546,18 @@ def test_support_ball_health(monkeypatch, name):
         assert 3 in sizes, "the third vertex joins the support"
     if name == "shell-0.999-10":
         assert any(b < a for a, b in zip(sizes, sizes[1:])), "the thin shell drops support points"
+
+
+@pytest.mark.parametrize("name", sorted(STRESS_SETS) + sorted(RESCAN_CLOUDS))
+def test_radius_is_the_largest_row_sum(name):
+    """The final radius is the largest of every point's squared distance to
+    the walk's center summed along its row, bit for bit, although only the
+    points that the sums across the (n, N) copy choose are summed again."""
+    pts = RESCAN_CLOUDS[name] if name in RESCAN_CLOUDS else np.asarray(STRESS_SETS[name](), dtype=float)
+    cols = np.ascontiguousarray(pts.T)
+    center, _ = enclosing._walk(cols - cols[:, :1])
+    want = math.sqrt(((((pts - pts[0]) - center) ** 2).sum(axis=1)).max())
+    assert enclosing._walk_ball(pts, cols)[1] == want
 
 
 def assert_exact_certificate(pts):

@@ -2,11 +2,13 @@
 
 Usage, from the root of a source checkout:
 
-    python3 tools/diff_outputs.py PARENT_ROOT [--seed N]
+    python3 tools/diff_outputs.py PARENT_ROOT [--seed N] [--workload NAME ...]
 
-Generates the inputs of the four ``perfbench`` workloads for seed N (default
-1) in a temporary directory, with this checkout's ``perfbench/workloads.py``,
-and runs every distinct op (distinct by its arguments) once with this
+Generates the inputs of the ``perfbench`` workloads for seed N (default 1)
+in a temporary directory, with this checkout's ``perfbench/workloads.py``:
+all four, or only those named by ``--workload`` (repeatable, so that a
+change to one command can compare that command's ops alone).  It runs
+every distinct op (distinct by its arguments) once with this
 checkout's ``src`` and once with PARENT_ROOT's.  Each tree runs all its ops
 in one interpreter of its own, with one BLAS thread, calling
 ``simplexgeo.cli.main`` in-process as the benchmark does; ``solve`` ops also
@@ -198,6 +200,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS, dest="workloads")
     args = parser.parse_args(argv)
     parent_src = args.parent_root.resolve() / "src"
     if not (parent_src / "simplexgeo").is_dir():
@@ -207,7 +210,7 @@ def main(argv=None) -> int:
     import workloads
 
     with tempfile.TemporaryDirectory(prefix="diff_outputs_") as tmp:
-        for name in WORKLOADS:
+        for name in dict.fromkeys(args.workloads or WORKLOADS):
             base = Path(tmp) / name
             ops = distinct_ops(workloads.BY_NAME[name](args.seed, str(base / "inputs")))
             new = run_tree(ROOT / "src", ops, base / "this")
