@@ -200,10 +200,10 @@ def cmd_analyze(args) -> int:
 
 
 # The diameter scan takes the kept points in blocks of _GRAM_ROWS against
-# every later one.  A block's product is formed before the last one is
-# dropped, so for K kept points and any n the scan holds at most
-# 2 _GRAM_ROWS K floats of squared lengths and _GRAM_ROWS K bytes of their
-# test: 10.9 MB at the exact ball's cap of 10^4 points.
+# every later one, and measures one row at a time.  For K kept points it
+# holds at most _GRAM_ROWS K floats of squared lengths and 2 K n floats of
+# one row's differences, however many pairs tie: 6.7 MB at the exact
+# ball's caps of 10^4 points in R^10.
 _GRAM_ROWS = 64
 
 
@@ -214,29 +214,29 @@ def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float, support: t
     # the one that rounding puts farthest from the center.  The squared lengths
     # |a|^2 + |b|^2 - 2 a.b, a and b the offsets to the center in one (n, N)
     # copy, choose: the bound's 1e-9 covers their rounding, and ``longest``
-    # holds the largest seen.  Only the pairs within enclosing.RESCAN_RTOL of
-    # it are measured, each by the sum along a row of p - q that an all-pairs
-    # scan takes, so the result is one of those sums bit for bit.
+    # holds the largest seen.  A point that starts a pair within
+    # enclosing.RESCAN_RTOL of it is measured against every later point, by
+    # the sums along rows of q - p that an all-pairs scan takes.  ``longest``
+    # only grows, so the point that starts the longest such sum is measured,
+    # and the result is that sum bit for bit.
     rel = np.subtract(pts.T, center[:, None], order="C")
     sq = np.einsum("ij,ij->j", rel, rel)
     gram = (-2.0 * rel[:, support]).T @ rel
     gram += sq
     longest = float((gram.max(axis=1) + sq[list(support)]).max())
     kept = np.flatnonzero(np.sqrt(sq) + radius >= math.sqrt(longest) * (1.0 - 1e-9))
-    rel, sq, one = rel[:, kept], sq[kept], np.ones(kept.size)
+    rel, sq, one, ends = rel[:, kept], sq[kept], np.ones(kept.size), pts[kept]
     # One product per block gives |a|^2 + |b|^2 - 2 a.b, from rows [a, |a|^2, 1]
     # and [-2 b, 1, |b|^2].  A block also takes some pairs reversed, and some
     # points with themselves.
-    left, right, chosen = np.vstack([rel, sq, one]), np.vstack([-2.0 * rel, one, sq]), []
+    left, right, best = np.vstack([rel, sq, one]), np.vstack([-2.0 * rel, one, sq]), 0.0
     for low in range(0, kept.size - 1, _GRAM_ROWS):
-        gram = left[:, low : low + _GRAM_ROWS].T @ right[:, low + 1 :]
-        i, j = np.nonzero(gram >= (1.0 - enclosing.RESCAN_RTOL) * longest)
-        chosen.append((low + i, low + 1 + j, gram[i, j]))
-        longest = float(chosen[-1][2].max(initial=longest))
-    a, b, approx = map(np.concatenate, zip(*chosen))
-    near = approx >= (1.0 - enclosing.RESCAN_RTOL) * longest
-    gaps = pts[kept[a[near]]] - pts[kept[b[near]]]
-    return math.sqrt(float(np.einsum("ij,ij->i", gaps, gaps).max()))
+        reach = (left[:, low : low + _GRAM_ROWS].T @ right[:, low + 1 :]).max(axis=1)
+        longest = max(longest, float(reach.max()))
+        for row in low + np.flatnonzero(reach >= (1.0 - enclosing.RESCAN_RTOL) * longest):
+            gaps = ends[row + 1 :] - ends[row]
+            best = float(np.einsum("ij,ij->i", gaps, gaps).max(initial=best))
+    return math.sqrt(best)
 
 
 def cmd_enclose(args) -> int:

@@ -45,9 +45,10 @@ def as_point(coords) -> np.ndarray:
 
     Coordinates must be real: bool, integer, float or, converted entry by
     entry, objects that are real numbers (``numbers.Real`` or numpy bools).
-    Strings, complex numbers, times and any other object raise InvalidPoint
-    rather than being parsed, truncated or read as counts; so do scalars and
-    nested lists, which are not 1-D coordinate lists.
+    Strings, complex numbers, times and any other object, even one that
+    converts to float such as ``decimal.Decimal``, raise InvalidPoint rather
+    than being parsed, truncated or read as counts; so do scalars and nested
+    lists, which are not 1-D coordinate lists.
     """
     try:
         p = np.asarray(coords)

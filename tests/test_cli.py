@@ -497,11 +497,17 @@ class TestSetDiameter:
                 center, radius, support = exact_meb_support(pts)
                 assert _set_diameter(pts, center, radius, support) == all_pairs_diameter(pts)
 
-    def test_gram_blocks_bound_the_working_memory(self):
+    @pytest.mark.parametrize(
+        "pts",
+        [circle(10000), np.repeat([[0.0, 0.0], [1.0, 0.0]], 5000, axis=0)],
+        ids=["circle", "two-clusters"],
+    )
+    def test_gram_blocks_bound_the_working_memory(self, pts):
         # On a circle every point may end a longest pair, so none is pruned
         # and the scan meets K = N = 10^4: an unblocked K x K Gram matrix
-        # would take 800 MB.
-        pts = circle(10000)
+        # would take 800 MB.  In two clusters of 5000 equal points every
+        # point is kept too, and all 2.5e7 pairs between them tie at the
+        # diameter: held together, they would take GB.
         center, radius, support = exact_meb_support(pts)
         tracemalloc.start()
         try:

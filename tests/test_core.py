@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -216,6 +217,7 @@ HOSTILE_ROWS = [
     ("object-numeric-string", [[0, 0], [1, "2.5"], [0, 1]], object),
     ("object-complex", [[0, 0], [1, 1 + 0j], [0, 1]], object),
     ("object-dict", [[0, 0], [1, {}], [0, 1]], object),
+    ("object-decimal", [[0, 0], [1, Decimal("2.5")], [0, 1]], object),
     ("nested", [[0, 0], [1, [2, 3]], [0, 1]], object),
     ("scalar", 5.0, float),
     ("object-none", [[0, 0], [1, None], [0, 1]], object),
@@ -349,14 +351,15 @@ class TestValidateMatchesReference:
                 assert validation_outcome(validate_simplex, vertices.tolist()) == want
 
 
-# Inputs whose coordinates are strings, complex numbers or times: as_point
-# refuses each, rather than parsing it, dropping its imaginary part or
-# reading it as a count.
+# Inputs whose coordinates are strings, complex numbers, times or objects
+# that are not numbers.Real, such as Decimal: as_point refuses each, rather
+# than parsing it, dropping its imaginary part or reading it as a count.
 NOT_REAL = [
     "strings-lists", "strings-array", "bad-strings-lists", "bad-strings-array",
     "object-string-lists", "object-string-array", "object-numeric-string-lists",
     "object-numeric-string-array", "object-complex-lists", "object-complex-array",
-    "object-dict-lists", "object-dict-array", "nested-array",
+    "object-dict-lists", "object-dict-array", "object-decimal-lists",
+    "object-decimal-array", "nested-array",
     "complex-lists", "complex-array", "complex-real-array", "datetime",
 ]
 
