@@ -199,46 +199,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# The diameter scan takes the kept points in blocks of _GRAM_ROWS against
-# every later one, and measures one row at a time.  For K kept points it
-# holds at most _GRAM_ROWS K floats of squared lengths and 2 K n floats of
-# one row's differences, however many pairs tie: 6.7 MB at the exact
-# ball's caps of 10^4 points in R^10.
-_GRAM_ROWS = 64
-
-
-def _set_diameter(pts: np.ndarray, center: np.ndarray, radius: float, support: tuple) -> float:
-    # |p - q| <= |p - center| + radius, so a pair longer than every pair through
-    # a support point has both ends where that sum reaches its length.  Every
-    # support point is on the sphere, so the bound takes them all rather than
-    # the one that rounding puts farthest from the center.  The squared lengths
-    # |a|^2 + |b|^2 - 2 a.b, a and b the offsets to the center in one (n, N)
-    # copy, choose: the bound's 1e-9 covers their rounding, and ``longest``
-    # holds the largest seen.  A point that starts a pair within
-    # enclosing.RESCAN_RTOL of it is measured against every later point, by
-    # the sums along rows of q - p that an all-pairs scan takes.  ``longest``
-    # only grows, so the point that starts the longest such sum is measured,
-    # and the result is that sum bit for bit.
-    rel = np.subtract(pts.T, center[:, None], order="C")
-    sq = np.einsum("ij,ij->j", rel, rel)
-    gram = (-2.0 * rel[:, support]).T @ rel
-    gram += sq
-    longest = float((gram.max(axis=1) + sq[list(support)]).max())
-    kept = np.flatnonzero(np.sqrt(sq) + radius >= math.sqrt(longest) * (1.0 - 1e-9))
-    rel, sq, one, ends = rel[:, kept], sq[kept], np.ones(kept.size), pts[kept]
-    # One product per block gives |a|^2 + |b|^2 - 2 a.b, from rows [a, |a|^2, 1]
-    # and [-2 b, 1, |b|^2].  A block also takes some pairs reversed, and some
-    # points with themselves.
-    left, right, best = np.vstack([rel, sq, one]), np.vstack([-2.0 * rel, one, sq]), 0.0
-    for low in range(0, kept.size - 1, _GRAM_ROWS):
-        reach = (left[:, low : low + _GRAM_ROWS].T @ right[:, low + 1 :]).max(axis=1)
-        longest = max(longest, float(reach.max()))
-        for row in low + np.flatnonzero(reach >= (1.0 - enclosing.RESCAN_RTOL) * longest):
-            gaps = ends[row + 1 :] - ends[row]
-            best = float(np.einsum("ij,ij->i", gaps, gaps).max(initial=best))
-    return math.sqrt(best)
-
-
 def cmd_enclose(args) -> int:
     pts, digest = fileio.load_points(args.path)
     dim = pts.shape[1] if args.n is None else args.n
@@ -260,7 +220,7 @@ def cmd_enclose(args) -> int:
         subset_max, full = enclosing.blumenthal_wahlin_check(pts, dim)
         payload["blumenthal_wahlin"] = {"subset_max": subset_max, "full": full}
     if radius > 0.0:  # the points are not all equal, so they have a diameter
-        diam = _set_diameter(pts, center, radius, support)
+        diam = enclosing.set_diameter(pts, center, support)
         jung = enclosing.jung_bound(diam, dim)
         enclosing.check_enclosure_bound(radius, min(jung, bound), diam)
         payload.update(diam=diam, jung_bound=jung, bounds_hold=True)

@@ -63,6 +63,15 @@ def point_set_diameter(points) -> float:
     return float(np.sqrt(np.einsum("ijk,ijk->ij", gaps, gaps).max()))
 
 
+def all_pairs_diameter(pts) -> float:
+    """Every pair, with the per-pair expression the pruned scan uses."""
+    best = 0.0
+    for row in range(pts.shape[0] - 1):
+        gaps = pts[row + 1 :] - pts[row]
+        best = max(best, float(np.max(np.einsum("ij,ij->i", gaps, gaps))))
+    return math.sqrt(best)
+
+
 def translate_far(points, k: int) -> np.ndarray:
     """The points moved by 10^k times their diameter along a seeded unit vector."""
     direction = np.random.default_rng(k).normal(size=points.shape[1])

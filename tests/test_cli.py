@@ -14,7 +14,6 @@ import json
 import math
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -40,21 +39,17 @@ from simplexgeo.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNKNOWN_FUNCTION,
-    _set_diameter,
     main,
     render_json,
 )
 from simplexgeo.corpus import random_simplex
-from simplexgeo.enclosing import exact_meb_support
 
 from conftest import (
-    RESCAN_CLOUDS,
+    all_pairs_diameter,
     brute_force_meb,
     reference_render,
-    shell_cloud,
     translate_far,
     translation_cases,
-    unit_sphere,
 )
 
 
@@ -309,6 +304,17 @@ class TestEnclose:
         assert payload["diam"] == pytest.approx(math.sqrt(2), abs=1e-12)
         assert payload["bounds_hold"] is True
 
+    def test_two_points_far_from_origin(self, tmp_path, capsys):
+        # 16.5 apart at 1.6e10: the exact ball's center rounds at eps times the
+        # coordinates, far beyond the diameter's filter margin of 1e-9 diam.
+        points = np.array([[-15807617374.41392, 4781641501.474605],
+                           [-15807617357.914516, 4781641502.191926]])
+        path = write_points(tmp_path, "far.json", points)
+        code, out, err = run_cli(["enclose", str(path)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        diam = parse_envelope(out)["payload"]["diam"]
+        assert diam == all_pairs_diameter(points) == 16.514988626619139
+
     def test_variant_jung_square(self, tmp_path, capsys):
         path = write_points(tmp_path, "sq.json", UNIT_SQUARE)
         code, out, _ = run_cli(["enclose", str(path), "--variant-jung"], capsys)
@@ -445,77 +451,6 @@ class TestEnclose:
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
         assert err.startswith("error:") and err.count("\n") == 1
-
-
-def all_pairs_diameter(pts):
-    """Every pair, with the per-pair expression the pruned scan uses."""
-    best = 0.0
-    for row in range(pts.shape[0] - 1):
-        gaps = pts[row + 1 :] - pts[row]
-        best = max(best, float(np.max(np.einsum("ij,ij->i", gaps, gaps))))
-    return math.sqrt(best)
-
-
-class TestSetDiameter:
-    """The ball-pruned diameter equals the all-pairs maximum exactly."""
-
-    @pytest.mark.parametrize(
-        "pts",
-        [
-            np.random.default_rng(1).normal(size=(1500, 2)),
-            np.random.default_rng(2).normal(size=(800, 5)) * 1e-3 + 7.0,
-            np.random.default_rng(3).normal(size=(400, 10)),
-            shell_cloud(np.random.default_rng(4), 1500, 2),
-            shell_cloud(np.random.default_rng(5), 600, 5),
-            circle(2000),  # nothing is pruned: any point may end a longest pair
-            unit_sphere(np.random.default_rng(8), 1500, 10),  # nothing pruned, many blocks
-            np.repeat(np.random.default_rng(6).normal(size=(40, 3)), 5, axis=0),
-            np.full((50, 2), 1.25),
-            np.outer(np.random.default_rng(7).uniform(-4, 9, size=300), [1.0, -2.0, 0.5]),
-            np.array([[0.0, 1.0], [3.0, 5.0]]),
-            *RESCAN_CLOUDS.values(),
-        ],
-        ids=["gauss-2", "gauss-5-offset", "gauss-10", "shell-2", "shell-5",
-             "circle-2000", "sphere-10", "duplicates", "one-point-repeated", "collinear", "two-points",
-             *RESCAN_CLOUDS],
-    )
-    def test_matches_all_pairs(self, pts):
-        center, radius, support = exact_meb_support(pts)
-        assert _set_diameter(pts, center, radius, support) == all_pairs_diameter(pts)
-
-    def test_seeded_clouds(self):
-        # Gaussian and shell clouds with a random offset and scale, as enclose
-        # meets them; the pruning bound depends only on the support set.
-        rng = np.random.default_rng(20261019)
-        for n in (2, 5, 10):
-            for shell in (False, True):
-                pts = rng.standard_normal((int(rng.integers(200, 600)), n))
-                if shell:
-                    pts = shell_cloud(rng, pts.shape[0], n)
-                scale = 10.0 ** rng.uniform(-1.0, 1.0)
-                pts = rng.uniform(-5.0, 5.0, size=n) * scale + scale * pts
-                center, radius, support = exact_meb_support(pts)
-                assert _set_diameter(pts, center, radius, support) == all_pairs_diameter(pts)
-
-    @pytest.mark.parametrize(
-        "pts",
-        [circle(10000), np.repeat([[0.0, 0.0], [1.0, 0.0]], 5000, axis=0)],
-        ids=["circle", "two-clusters"],
-    )
-    def test_gram_blocks_bound_the_working_memory(self, pts):
-        # On a circle every point may end a longest pair, so none is pruned
-        # and the scan meets K = N = 10^4: an unblocked K x K Gram matrix
-        # would take 800 MB.  In two clusters of 5000 equal points every
-        # point is kept too, and all 2.5e7 pairs between them tie at the
-        # diameter: held together, they would take GB.
-        center, radius, support = exact_meb_support(pts)
-        tracemalloc.start()
-        try:
-            _set_diameter(pts, center, radius, support)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
 
 
 class TestSolve:

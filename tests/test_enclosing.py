@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +22,9 @@ from simplexgeo import (
     jung_bound,
     regular_simplex,
     set_barycentric_circumradius,
+    set_diameter,
     validate_simplex,
 )
-from simplexgeo.cli import _set_diameter
 from simplexgeo.corpus import random_simplex
 from simplexgeo.enclosing import WALK_MAX_STEPS, check_enclosure_bound, simplex_meb_support
 from simplexgeo.errors import (
@@ -39,7 +40,13 @@ from simplexgeo.errors import (
 )
 
 import exact
-from conftest import RESCAN_CLOUDS, brute_force_meb, random_rigid_motion
+from conftest import (
+    RESCAN_CLOUDS,
+    all_pairs_diameter,
+    brute_force_meb,
+    random_rigid_motion,
+    translate_far,
+)
 
 
 def derived_obtuse_triangle():
@@ -475,8 +482,7 @@ def assert_same_walk(monkeypatch, pts):
     with pytest.raises(ArithmeticError, match="did not converge"):
         enclosing._walk(cols)
     assert sorted(support) == sorted(want_support)
-    radius = float(np.sqrt(((rel - center) ** 2).sum(axis=1).max()))
-    diam = _set_diameter(rel, center, radius, support)
+    diam = set_diameter(rel, center, support)
     assert np.linalg.norm(center - want_center) <= 1e-14 * diam
 
 
@@ -558,6 +564,72 @@ def test_radius_is_the_largest_row_sum(name):
     center, _ = enclosing._walk(cols - cols[:, :1])
     want = math.sqrt(((((pts - pts[0]) - center) ** 2).sum(axis=1)).max())
     assert enclosing._walk_ball(pts, cols)[1] == want
+
+
+class TestSetDiameter:
+    """The ball-pruned diameter equals the all-pairs maximum exactly."""
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            np.random.default_rng(1).normal(size=(1500, 2)),
+            np.random.default_rng(2).normal(size=(800, 5)) * 1e-3 + 7.0,
+            np.random.default_rng(3).normal(size=(400, 10)),
+            shell_cloud(np.random.default_rng(4), 1500, 2),
+            shell_cloud(np.random.default_rng(5), 600, 5),
+            circle_points(2000),  # nothing is pruned: any point may end a longest pair
+            unit_rows(np.random.default_rng(8), 1500, 10),  # nothing pruned, many blocks
+            np.repeat(np.random.default_rng(6).normal(size=(40, 3)), 5, axis=0),
+            np.full((50, 2), 1.25),
+            np.outer(np.random.default_rng(7).uniform(-4, 9, size=300), [1.0, -2.0, 0.5]),
+            np.array([[0.0, 1.0], [3.0, 5.0]]),
+            # Two support points, so the diameter is 2R and the filter has no
+            # slack, 10^9 diameters out, where the ball's center rounds far
+            # beyond the filter's margin.
+            translate_far(np.random.default_rng(0).normal(size=(200, 2)), 9),
+            *RESCAN_CLOUDS.values(),
+        ],
+        ids=["gauss-2", "gauss-5-offset", "gauss-10", "shell-2", "shell-5",
+             "circle-2000", "sphere-10", "duplicates", "one-point-repeated", "collinear", "two-points",
+             "gauss-2-moved-1e9", *RESCAN_CLOUDS],
+    )
+    def test_matches_all_pairs(self, pts):
+        center, _, support = exact_meb_support(pts)
+        assert set_diameter(pts, center, support) == all_pairs_diameter(pts)
+
+    def test_seeded_clouds(self):
+        # Gaussian and shell clouds with a random offset and scale, as enclose
+        # meets them; the pruning bound depends only on the support set.
+        rng = np.random.default_rng(20261019)
+        for n in (2, 5, 10):
+            for shell in (False, True):
+                pts = rng.standard_normal((int(rng.integers(200, 600)), n))
+                if shell:
+                    pts = shell_cloud(rng, pts.shape[0], n)
+                scale = 10.0 ** rng.uniform(-1.0, 1.0)
+                pts = rng.uniform(-5.0, 5.0, size=n) * scale + scale * pts
+                center, _, support = exact_meb_support(pts)
+                assert set_diameter(pts, center, support) == all_pairs_diameter(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [circle_points(10000), np.repeat([[0.0, 0.0], [1.0, 0.0]], 5000, axis=0)],
+        ids=["circle", "two-clusters"],
+    )
+    def test_gram_blocks_bound_the_working_memory(self, pts):
+        # On a circle every point may end a longest pair, so none is pruned
+        # and the scan meets K = N = 10^4: an unblocked K x K Gram matrix
+        # would take 800 MB.  In two clusters of 5000 equal points every
+        # point is kept too, and all 2.5e7 pairs between them tie at the
+        # diameter: held together, they would take GB.
+        center, _, support = exact_meb_support(pts)
+        tracemalloc.start()
+        try:
+            set_diameter(pts, center, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def assert_exact_certificate(pts):

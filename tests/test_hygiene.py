@@ -111,6 +111,23 @@ def test_no_unreferenced_private_definitions():
     assert not unreferenced, f"private definitions nothing references: {', '.join(unreferenced)}"
 
 
+def test_tolerances_have_one_owner():
+    """No module reads another package module's ``*_RTOL`` attribute, so
+    each tolerance is applied by the module that defines it."""
+    stems = {path.stem for path in PACKAGE.glob("*.py")}
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.endswith("_RTOL")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in stems - {path.stem}
+            ):
+                foreign.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not foreign, f"tolerances read from another module: {', '.join(foreign)}"
+
+
 def test_every_error_class_is_raised():
     """Every error class but the base is raised by some module, so no class
     outlives the check that raised it."""

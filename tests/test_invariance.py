@@ -14,14 +14,17 @@ from simplexgeo import (
     barycenter,
     combined_enclosure,
     exact_meb,
+    exact_meb_support,
     median_sums,
     metrics_report,
+    set_diameter,
     validate_simplex,
 )
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import SimplexError
 
 from conftest import (
+    all_pairs_diameter,
     point_set_diameter,
     random_rigid_motion,
     translate_far,
@@ -51,10 +54,13 @@ def check_translation(name, moved):
     diam = point_set_diameter(rebased)
     scale = float(np.abs(moved).max())
     tol = 1e-12 * diam
-    center, radius = exact_meb(moved)
+    center, radius, support = exact_meb_support(moved)
     center_0, radius_0 = exact_meb(rebased)
     assert abs(radius - radius_0) <= tol
     assert_centers_agree(center, center_0, moved[0], diam, scale)
+    # The ball's center rounds at the size of the coordinates; the diameter
+    # it prunes for is still the all-pairs maximum of the moved set.
+    assert set_diameter(moved, center, support) == all_pairs_diameter(moved)
     if not name.startswith("simplex"):
         return
     s, s_0 = validate_simplex(moved), validate_simplex(rebased)
