@@ -9,7 +9,10 @@ whose square root yields, after scaling, the median length, the distance
 from the barycenter to vertex i, and the distance from the barycenter to
 the opposite face centroid.  Every function that reports a residual
 evaluates the two sides through independent routes: one through edge
-lengths only, the other through direct vertex coordinates.
+lengths only, the other through coordinates.  The coordinate routes take
+their differences in the simplex's frame, the offsets v_i - v_0, its face
+centroids and its barycenter offset, so where the simplex lies does not
+round them.
 """
 
 from __future__ import annotations
@@ -20,13 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    Simplex,
-    check_index,
-    face_centroid,
-    face_centroids,
-    require_regular,
-)
+from .core import Simplex, check_index, face_centroids, require_regular
 from .errors import IndexOutOfRange
 
 
@@ -97,7 +94,7 @@ def apollonius_residual(s: Simplex, i: int) -> float:
     near zero certifies the edge-length route against an independent one.
     """
     check_index(s, i)
-    median = s.vertices[i] - face_centroid(s, i)
+    median = s.offsets[i] - face_centroids(s)[i]
     return float(s.radicand_pair[1][i]) - s.m**2 * float(median @ median)
 
 
@@ -108,9 +105,9 @@ def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
     first, and the three points are collinear.
     """
     check_index(s, i)
-    center = s.barycenter
-    to_face = center - face_centroid(s, i)
-    to_vertex = center - s.vertices[i]
+    center = s.barycenter_offset
+    to_face = center - face_centroids(s)[i]
+    to_vertex = center - s.offsets[i]
     return float(np.linalg.norm(to_face)), float(np.linalg.norm(to_vertex))
 
 
@@ -118,14 +115,14 @@ def median_sums(s: Simplex) -> MedianReport:
     """Assemble the per-vertex medians and the aggregate squared sums."""
     floored, raw = s.radicand_pair
     # One BLAS dot per row: einsum rounds some rows differently.
-    median_squares = [float(med @ med) for med in s.vertices - face_centroids(s)]
+    median_squares = [float(med @ med) for med in s.offsets - face_centroids(s)]
     return MedianReport(
         median_lengths=(np.sqrt(floored) / s.m).tolist(),
         apollonius_residuals=(raw - s.m**2 * np.array(median_squares)).tolist(),
         # sum() adds left to right, so these match a per-vertex running
         # total bit for bit; numpy's pairwise summation rounds differently.
         sum_squares_medians=sum(median_squares),
-        sum_squares_center_to_vertices=sum(float(g @ g) for g in s.barycenter - s.vertices),
+        sum_squares_center_to_vertices=sum(float(g @ g) for g in s.barycenter_offset - s.offsets),
         sum_squares_edges=float(s.sq_distances[_upper(s.m + 1)].sum()),
     )
 
@@ -142,10 +139,10 @@ def pythagoras_regular_residual(s: Simplex, i: int, j: int) -> float:
     if i == j:
         raise IndexOutOfRange("vertex indices i and j must differ")
     require_regular(s)
-    centroid = face_centroid(s, i)
-    leg_a = s.vertices[i] - centroid
-    leg_b = s.vertices[j] - centroid
-    hyp = s.vertices[i] - s.vertices[j]
+    centroid = face_centroids(s)[i]
+    leg_a = s.offsets[i] - centroid
+    leg_b = s.offsets[j] - centroid
+    hyp = s.offsets[i] - s.offsets[j]
     return float(leg_a @ leg_a) + float(leg_b @ leg_b) - float(hyp @ hyp)
 
 
@@ -157,7 +154,7 @@ def carnot_regular_check(s: Simplex) -> tuple[float, float]:
     barycenter-to-face-centroid distances of the regular simplex.
     """
     require_regular(s)
-    center = s.barycenter
+    center = s.barycenter_offset
     gaps = [float(np.linalg.norm(g)) for g in center - face_centroids(s)]
-    circum = float(np.linalg.norm(center - s.vertices[0]))
+    circum = float(np.linalg.norm(center))  # vertex 0 is the frame's origin
     return sum(gaps), circum + gaps[0]

@@ -87,9 +87,12 @@ class Simplex:
     """Ordered vertices of a validated m-simplex, stored as an (m+1, n) array.
 
     The quantities the reports share (offsets, sq_distances, radicand_pair,
-    profile, barycenter, edge_factor and inverse_altitudes) are formed on
-    first use, once per simplex, and kept read-only: ``cached_property``
-    writes the instance dict directly, which the frozen dataclass allows.
+    profile, barycenter_offset, edge_factor and inverse_altitudes) are
+    formed on first use, once per simplex, and kept read-only:
+    ``cached_property`` writes the instance dict directly, which the frozen
+    dataclass allows.  The offsets are the one frame of the coordinate
+    routes: each takes its differences there, so where the simplex lies
+    rounds none of them, and v_0 is added back only to a reported position.
     A simplex from validate_simplex already holds its edge_factor, which
     the rank test formed.  Simplices compare and hash by identity, as each
     carries its own caches; ``np.array_equal(s.vertices, t.vertices)``
@@ -133,9 +136,9 @@ class Simplex:
         return edge_profile(self)
 
     @cached_property
-    def barycenter(self) -> np.ndarray:
-        """Equal-weight average of the vertices."""
-        return _read_only(centroid(self.vertices))
+    def barycenter_offset(self) -> np.ndarray:
+        """Equal-weight average of the vertices, as an offset to v_0."""
+        return _read_only(centroid(self.offsets))
 
     @cached_property
     def edge_factor(self) -> np.ndarray:
@@ -293,19 +296,20 @@ def centroid(points: np.ndarray) -> np.ndarray:
 
 def barycenter(s: Simplex) -> np.ndarray:
     """Equal-weight average of all vertices."""
-    return centroid(s.vertices)
+    return s.vertices[0] + s.barycenter_offset
 
 
 def face_centroids(s: Simplex) -> np.ndarray:
     """Barycenters of all m+1 faces, row i opposite vertex i, as offsets to
-    vertex 0: v_0 + (sum of the offsets - offset i) / m."""
-    return s.vertices[0] + (s.offsets.sum(axis=0) - s.offsets) / s.m
+    vertex 0: (sum of the offsets - offset i) / m."""
+    return (s.offsets.sum(axis=0) - s.offsets) / s.m
 
 
 def face_centroid(s: Simplex, i: int) -> np.ndarray:
-    """Barycenter of the face opposite vertex i: row i of face_centroids."""
+    """Barycenter of the face opposite vertex i: v_0 plus row i of
+    face_centroids."""
     check_index(s, i)
-    return face_centroids(s)[i]
+    return s.vertices[0] + face_centroids(s)[i]
 
 
 def sub_face(s: Simplex, drop) -> Simplex:
@@ -350,10 +354,15 @@ def edge_spread(profile: EdgeProfile) -> float:
     return (profile.diam - profile.shor) / profile.diam
 
 
+def is_regular(profile: EdgeProfile) -> bool:
+    """Whether the edges are equal within REGULAR_RTOL of the longest."""
+    return edge_spread(profile) <= REGULAR_RTOL
+
+
 def require_regular(s: Simplex) -> EdgeProfile:
     """Return the edge profile, raising NotRegular on unequal edges."""
     profile = s.profile
-    if edge_spread(profile) > REGULAR_RTOL:
+    if not is_regular(profile):
         raise NotRegular(
             f"edge spread {edge_spread(profile):.3e} exceeds {REGULAR_RTOL:.1e}"
         )

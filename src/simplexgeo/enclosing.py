@@ -28,6 +28,7 @@ import numpy as np
 from .core import (
     Simplex,
     as_points,
+    barycenter,
     check_int,
     check_positive,
     check_range,
@@ -171,18 +172,19 @@ def _check_caps(count: int, n: int) -> None:
         )
 
 
-def _walk_ball(pts: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, float, tuple]:
-    """The walk's ball of the rows ``pts``, given ``cols``, their (n, N) copy."""
-    offsets = cols - cols[:, :1]
-    center, support = _walk(offsets)
+def _walk_ball(origin: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, float, tuple]:
+    """The walk's ball of the points origin + offsets, the offsets as rows;
+    rows that are the transpose of an (n, N) C array are walked in place."""
+    cols = np.ascontiguousarray(offsets.T)
+    center, support = _walk(cols)
     # Cover every point exactly; the inflation is at rounding scale.  Sums
     # across the (n, N) copy choose the farthest points, and only those are
     # summed again along rows for the radius: a sum across rounds differently
     # from n = 8 on, and would move the printed radius.
-    dist2 = ((offsets - center[:, None]) ** 2).sum(axis=0)
-    far = pts[dist2 >= (1.0 - RESCAN_RTOL) * dist2.max()]
-    radius = float(np.sqrt((((far - pts[0]) - center) ** 2).sum(axis=1).max()))
-    return pts[0] + center, radius, tuple(sorted(support))
+    dist2 = ((cols - center[:, None]) ** 2).sum(axis=0)
+    far = offsets[dist2 >= (1.0 - RESCAN_RTOL) * dist2.max()]
+    radius = float(np.sqrt(((far - center) ** 2).sum(axis=1).max()))
+    return origin + center, radius, tuple(sorted(support))
 
 
 def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
@@ -199,7 +201,7 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     cols = np.ascontiguousarray(pts.T)
     check_range(cols.T)  # its reductions then run along memory
     _check_caps(*pts.shape)
-    return _walk_ball(pts, cols)
+    return _walk_ball(pts[0], (cols - cols[:, :1]).T)
 
 
 def _descend(sq: np.ndarray) -> list | None:
@@ -268,7 +270,7 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
         far2, ball2 = float(dist2.max()), (1.0 + _IN_BALL_RTOL) ** 2 * float(dist2[support].max())
         if coef.min() >= -_IN_BALL_RTOL and far2 <= ball2:
             return pts[0] + center, math.sqrt(far2), tuple(support)
-    return _walk_ball(pts, np.ascontiguousarray(pts.T))
+    return _walk_ball(pts[0], s.offsets)
 
 
 def _support_ball(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -336,7 +338,7 @@ def set_diameter(points, center, support) -> float:
     sq = np.einsum("ij,ij->j", rel, rel)
     gram = (-2.0 * rel[:, support]).T @ rel
     gram += sq
-    longest = float((gram.max(axis=1) + sq[support]).max())
+    longest = float((gram.max(axis=1) + sq[support]).max(initial=0.0))
     kept = np.flatnonzero(np.sqrt(sq) + math.sqrt(sq.max()) >= math.sqrt(longest) * (1.0 - 1e-9))
     rel, sq, one, ends = rel[:, kept], sq[kept], np.ones(kept.size), pts[kept]
     # One product per block gives |a|^2 + |b|^2 - 2 a.b, from rows [a, |a|^2, 1]
@@ -380,7 +382,7 @@ def combined_enclosure(s: Simplex) -> EnclosureReport:
         combined_bound=combined,
         meb_radius=radius,
         meb_center=center,
-        barycenter=s.barycenter,
+        barycenter=barycenter(s),
         argmax_vertex=argmax,
     )
 
@@ -454,5 +456,5 @@ def fermat_sum_regular(s: Simplex) -> tuple[float, float]:
     The closed form is sqrt(m (m+1) / 2) times the common edge length.
     """
     profile = require_regular(s)
-    total = float(np.linalg.norm(s.vertices - s.barycenter, axis=1).sum())
+    total = float(np.linalg.norm(s.offsets - s.barycenter_offset, axis=1).sum())
     return total, math.sqrt(s.m * (s.m + 1) / 2.0) * profile.diam

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    REGULAR_RTOL,
     Simplex,
     as_point,
-    centroid,
     check_int,
     check_positive,
-    edge_spread,
+    is_regular,
     regular_simplex,
     validate_simplex,
 )
@@ -56,20 +54,21 @@ class MetricsReport:
     shor: float
 
 
-def _hull_weights(p: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Convex weights w such that w @ verts is the hull point nearest p.
+def _hull_weights(q: np.ndarray) -> np.ndarray:
+    """Convex weights w such that w @ q is the point of the hull of the rows
+    q nearest the origin; for q_j = v_j - p, it is the hull point nearest p,
+    minus p.
 
-    Wolfe's algorithm (Math. Programming 11, 1976) on q_j = v_j - p, with
-    x the current point minus p.  A major cycle adds the vertex that most
-    violates the optimality test (p - x).(v_j - x) <= 0, read here as
+    Wolfe's algorithm (Math. Programming 11, 1976) on the rows q_j, with
+    x the current point.  A major cycle adds the row that most violates
+    the optimality test -x.(q_j - x) <= 0, read here as
     ||x||^2 - x.q_j <= tol with tol relative to max ||q_j||^2.  A minor
     cycle projects onto the affine hull of the active set; when a weight
     turns nonpositive it steps back to the set's hull and drops the vertex
     whose weight reached zero.  Reaching the major-cycle cap raises
     ArithmeticError rather than returning a point that failed the test.
     """
-    k = verts.shape[0]
-    q = verts - p
+    k = q.shape[0]
     norms = np.einsum("ij,ij->i", q, q)
     tol = _WOLFE_RTOL * float(norms.max())
     active = np.array([np.argmin(norms)])
@@ -105,13 +104,16 @@ def _hull_weights(p: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 def distance_point_to_face(p, face: Simplex) -> float:
-    """Exact Euclidean distance from a finite point to a face simplex."""
+    """Exact Euclidean distance from a finite point to a face simplex: the
+    norm of the nearest point of the hull of q = V - p, the vertices as
+    offsets to the point, so where the face lies does not round the foot."""
     point = as_point(p)
     if point.size != face.n:
         raise DimensionMismatch(
             f"point dimension {point.size} does not match face dimension {face.n}"
         )
-    return float(np.linalg.norm(_hull_weights(point, face.vertices) @ face.vertices - point))
+    q = face.vertices - point
+    return float(np.linalg.norm(_hull_weights(q) @ q))
 
 
 def barycentric_inradius(s: Simplex) -> tuple[float, int]:
@@ -142,8 +144,8 @@ def barycentric_inradius_estimate(s: Simplex) -> tuple[float, int]:
     """
     floored, _ = s.radicand_pair
     values = np.sqrt(floored) / (s.m * (s.m + 1))
-    direct = np.linalg.norm(s.offsets - centroid(s.offsets), axis=1) / s.m
-    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * math.sqrt(float(s.sq_distances.max())))
+    direct = np.linalg.norm(s.offsets - s.barycenter_offset, axis=1) / s.m
+    bad = np.flatnonzero(np.abs(values - direct) > 1e-6 * s.profile.diam)
     if bad.size:
         i = int(bad[0])
         raise ArithmeticError(
@@ -227,7 +229,7 @@ def eggleston_suite(s: Simplex) -> list:
         ("inradius_le_half_diameter", inradius, diam / 2.0),
         ("circumradius_le_jung_diameter", circumradius, jung_bound(diam, s.n)),
     ]
-    if edge_spread(profile) <= REGULAR_RTOL:
+    if is_regular(profile):
         width = regular_width(s.n, diam)
         rows += [
             ("inradius_le_half_width", inradius, width / 2.0),

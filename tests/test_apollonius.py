@@ -248,7 +248,8 @@ def test_vectorised_radicands_match_per_vertex_loop(mixed_corpus):
         sq = squared_distance_matrix(s)
         floored, raw = radicands(sq)
         total = float(sq[np.triu_indices(s.m + 1, 1)].sum())
-        center = barycenter(s)
+        center = s.barycenter_offset
+        batch = face_centroids(s)
         report = median_sums(s)
         best, argmax = -1.0, 0
         sum_medians = sum_center = 0.0
@@ -261,9 +262,9 @@ def test_vectorised_radicands_match_per_vertex_loop(mixed_corpus):
             assert report.apollonius_residuals[i] == apollonius_residual(s, i)
             if floored[i] > best:
                 best, argmax = floored[i], i
-            med = s.vertices[i] - face_centroid(s, i)
+            med = s.offsets[i] - batch[i]
             sum_medians += float(med @ med)
-            gap = center - s.vertices[i]
+            gap = center - s.offsets[i]
             sum_center += float(gap @ gap)
         assert barycentric_circumradius(s) == (math.sqrt(best) / (s.m + 1), argmax)
         assert report.sum_squares_medians == sum_medians
@@ -273,8 +274,9 @@ def test_vectorised_radicands_match_per_vertex_loop(mixed_corpus):
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_face_centroids_agree_bit_for_bit(m):
-    """face_centroid is a row of the batched centroids, and median_sums'
-    residuals are apollonius_residual's, bit for bit, up to m = 10."""
+    """face_centroid is v_0 plus a row of the batched centroids, which are
+    offsets to v_0, and median_sums' residuals are apollonius_residual's,
+    bit for bit, up to m = 10."""
     rng = np.random.default_rng(1700 + m)
     for k in range(30):
         n = m + int(rng.integers(0, 3))
@@ -286,15 +288,15 @@ def test_face_centroids_agree_bit_for_bit(m):
         report = median_sums(s)
         sum_medians = 0.0
         for i in range(m + 1):
-            assert face_centroid(s, i).tobytes() == batch[i].tobytes()
+            assert face_centroid(s, i).tobytes() == (s.vertices[0] + batch[i]).tobytes()
             assert report.apollonius_residuals[i] == apollonius_residual(s, i)
-            med = s.vertices[i] - face_centroid(s, i)
+            med = s.offsets[i] - batch[i]
             sum_medians += float(med @ med)
         assert report.sum_squares_medians == sum_medians
-        # Each row is the mean of the other vertices, to rounding.
+        # Each row is the mean of the other vertices' offsets, to rounding.
         atol = 8 * m * np.finfo(float).eps * np.abs(s.vertices).max()
         for i in range(m + 1):
-            others = np.delete(s.vertices, i, axis=0)
+            others = np.delete(s.offsets, i, axis=0)
             assert np.allclose(batch[i], others.mean(axis=0), rtol=0, atol=atol)
 
 

@@ -203,10 +203,10 @@ class TestAnalyze:
         assert err == "error: exact ball supports dimension <= 10, got 11\n"
 
     def test_each_quantity_formed_once_per_simplex(self, tmp_path, capsys, monkeypatch):
-        # The squared distances, the radicands, the edge factor and its
-        # inverse are formed once per simplex, however many reports read
-        # them.  The two SVDs per simplex are the rank test's, of the edge
-        # factor, and the ball's, of its support's edges.
+        # The squared distances, the radicands, the barycenter, the edge
+        # factor and its inverse are formed once per simplex, however many
+        # reports read them.  The two SVDs per simplex are the rank test's,
+        # of the edge factor, and the ball's, of its support's edges.
         rng = np.random.default_rng(26)
         paths = [
             write_simplex(tmp_path, f"m{m}-n{n}.json", random_simplex(rng, m, n).vertices)
@@ -226,13 +226,20 @@ class TestAnalyze:
 
         counting(core, "squared_distance_matrix")
         counting(apollonius, "radicands")
+        # Every module that binds core.centroid, so no caller escapes the count.
+        binders = [
+            module for name, module in sys.modules.items()
+            if name.startswith("simplexgeo.") and vars(module).get("centroid") is core.centroid
+        ]
+        for module in binders:
+            counting(module, "centroid")
         for name in ("qr", "inv", "svd"):
             counting(np.linalg, name)
         code, out, err = run_cli(["analyze", *map(str, paths)], capsys)
         assert code == EXIT_OK and err == ""
         assert len(out.splitlines()) == len(paths)
         assert counts == {
-            "squared_distance_matrix": 20, "radicands": 20, "qr": 20, "inv": 20, "svd": 40,
+            "squared_distance_matrix": 20, "radicands": 20, "centroid": 20, "qr": 20, "inv": 20, "svd": 40,
         }
 
     def test_crlf_input(self, tmp_path, capsys):

@@ -130,7 +130,7 @@ class TestValidate:
 
         def cached(x):
             return [
-                x.offsets, x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter,
+                x.offsets, x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter_offset,
                 x.edge_factor, x.inverse_altitudes,
             ]
 

@@ -35,6 +35,33 @@ def test_moved_float_reports_its_path_and_relative_move():
     assert diff_outputs.compare_stdout(line_old, line_old) == ({}, [], False)
 
 
+def test_moves_are_in_the_unit_of_their_field():
+    # Squared sums and residuals carry diam^2, thickness no unit, and the
+    # report names the unit next to each path.
+    old = {"payload": {
+        "medians": {"apollonius_residuals": [0.0, 1.0], "sum_squares_medians": 3.0},
+        "metrics": {"diam": 2.0, "thickness": 0.5, "barycentric_inradius": 1.0},
+    }}
+    new = json.loads(json.dumps(old))
+    new["payload"]["medians"]["apollonius_residuals"][1] += 2.0**-40
+    new["payload"]["medians"]["sum_squares_medians"] += 2.0**-40
+    new["payload"]["metrics"]["thickness"] += 2.0**-40
+    new["payload"]["metrics"]["barycentric_inradius"] += 2.0**-40
+    moves, structural, absolute = diff_outputs.compare_stdout(json.dumps(old), json.dumps(new))
+    assert structural == [] and not absolute
+    assert moves == {
+        "$.payload.medians.apollonius_residuals[]": 2.0**-42,
+        "$.payload.medians.sum_squares_medians": 2.0**-42,
+        "$.payload.metrics.thickness": 2.0**-40,
+        "$.payload.metrics.barycentric_inradius": 2.0**-41,
+    }
+    lines = diff_outputs.report("analyze", [("r0.0", [])], [[0, json.dumps(old), "", None]],
+                                [[0, json.dumps(new), "", None]])
+    assert "  moved $.payload.medians.sum_squares_medians: 1 ops, at most 2.3e-13 diam^2" in lines
+    assert "  moved $.payload.metrics.thickness: 1 ops, at most 9.1e-13 (no unit)" in lines
+    assert "  moved $.payload.metrics.barycentric_inradius: 1 ops, at most 4.5e-13 diam" in lines
+
+
 def test_changed_key_is_structural():
     new = moved(radius=2.0)
     new["payload"]["meb"]["supports"] = new["payload"]["meb"].pop("support")

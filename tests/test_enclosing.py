@@ -563,7 +563,7 @@ def test_radius_is_the_largest_row_sum(name):
     cols = np.ascontiguousarray(pts.T)
     center, _ = enclosing._walk(cols - cols[:, :1])
     want = math.sqrt(((((pts - pts[0]) - center) ** 2).sum(axis=1)).max())
-    assert enclosing._walk_ball(pts, cols)[1] == want
+    assert enclosing._walk_ball(pts[0], pts - pts[0])[1] == want
 
 
 class TestSetDiameter:
@@ -610,6 +610,20 @@ class TestSetDiameter:
                 pts = rng.uniform(-5.0, 5.0, size=n) * scale + scale * pts
                 center, _, support = exact_meb_support(pts)
                 assert set_diameter(pts, center, support) == all_pairs_diameter(pts)
+
+    def test_equal_points_about_a_center_off_them(self):
+        # |a|^2 + |b|^2 - 2 a.b of a point with itself rounds below zero for
+        # some centers; as the center only prunes, the diameter is still 0.
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, count = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+            point = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            center = point + rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert set_diameter(np.tile(point, (count, 1)), center, [0]) == 0.0, seed
+
+    def test_empty_support(self):
+        pts = np.random.default_rng(10).normal(size=(300, 3))
+        assert set_diameter(pts, np.zeros(3), []) == all_pairs_diameter(pts)
 
     @pytest.mark.parametrize(
         "pts",

@@ -112,8 +112,9 @@ def test_no_unreferenced_private_definitions():
 
 
 def test_tolerances_have_one_owner():
-    """No module reads another package module's ``*_RTOL`` attribute, so
-    each tolerance is applied by the module that defines it."""
+    """No module reads another package module's ``*_RTOL`` attribute or
+    imports one by name, so each tolerance is applied by the module that
+    defines it."""
     stems = {path.stem for path in PACKAGE.glob("*.py")}
     foreign = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -125,6 +126,12 @@ def test_tolerances_have_one_owner():
                 and node.value.id in stems - {path.stem}
             ):
                 foreign.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module in stems - {path.stem}:
+                foreign += [
+                    f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.endswith("_RTOL")
+                ]
     assert not foreign, f"tolerances read from another module: {', '.join(foreign)}"
 
 

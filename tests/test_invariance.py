@@ -12,12 +12,19 @@ from hypothesis import strategies as st
 
 from simplexgeo import (
     barycenter,
+    carnot_regular_check,
     combined_enclosure,
+    commandino_ratio,
+    distance_point_to_face,
     exact_meb,
     exact_meb_support,
+    fermat_sum_regular,
     median_sums,
     metrics_report,
+    pythagoras_regular_residual,
+    regular_simplex,
     set_diameter,
+    sub_face,
     validate_simplex,
 )
 from simplexgeo.corpus import random_simplex
@@ -64,9 +71,14 @@ def check_translation(name, moved):
     if not name.startswith("simplex"):
         return
     s, s_0 = validate_simplex(moved), validate_simplex(rebased)
-    np.testing.assert_allclose(
-        median_sums(s).median_lengths, median_sums(s_0).median_lengths, rtol=0, atol=tol
-    )
+    medians, medians_0 = median_sums(s), median_sums(s_0)
+    np.testing.assert_allclose(medians.median_lengths, medians_0.median_lengths, rtol=0, atol=tol)
+    # The coordinate routes take their differences in the frame v - v[0],
+    # which the two copies share.
+    for field in ("apollonius_residuals", "sum_squares_medians", "sum_squares_center_to_vertices"):
+        np.testing.assert_allclose(
+            getattr(medians, field), getattr(medians_0, field), rtol=0, atol=tol * diam, err_msg=field
+        )
     report, report_0 = combined_enclosure(s), combined_enclosure(s_0)
     for field in ("barycentric_circumradius", "jung_bound", "combined_bound", "meb_radius"):
         assert abs(getattr(report, field) - getattr(report_0, field)) <= tol, field
@@ -78,6 +90,40 @@ def check_translation(name, moved):
     if s.m == s.n:
         assert abs(metrics.exact_inradius - metrics_0.exact_inradius) <= tol
         assert_centers_agree(metrics.exact_incenter, metrics_0.exact_incenter, moved[0], diam, scale)
+
+
+def test_coordinate_routes_follow_a_translation():
+    # The routes take their differences in the frame v - v[0], which a far
+    # copy and its rebased copy share; only the distance from a point, which
+    # the frame does not hold, rounds once more.  A regular simplex stays
+    # regular within REGULAR_RTOL only up to about 10^4 diameters out.
+    for name, points in CASES:
+        if not name.startswith("simplex"):
+            continue
+        for k in (4, 8, 9):
+            moved = translate_far(points, k)
+            rebased = moved - moved[0]
+            s, s_0 = validate_simplex(moved), validate_simplex(rebased)
+            diam = s_0.profile.diam
+            for i in range(s.m + 1):
+                assert commandino_ratio(s, i) == commandino_ratio(s_0, i), (name, k, i)
+                if s.m == 1:  # the face is one vertex
+                    continue
+                far = distance_point_to_face(moved[i], sub_face(s, {i}))
+                near = distance_point_to_face(rebased[i], sub_face(s_0, {i}))
+                assert abs(far - near) <= 1e-12 * diam, (name, k, i)
+    for m in range(1, 9):
+        for n in (m, m + 2):
+            points = regular_simplex(m, n, 1.0).vertices
+            for k in (2, 3, 4):
+                moved = translate_far(points, k)
+                s, s_0 = validate_simplex(moved), validate_simplex(moved - moved[0])
+                assert carnot_regular_check(s) == carnot_regular_check(s_0), (m, n, k)
+                assert fermat_sum_regular(s) == fermat_sum_regular(s_0), (m, n, k)
+                for i in range(m + 1):
+                    for j in range(m + 1):
+                        if i != j:
+                            assert pythagoras_regular_residual(s, i, j) == pythagoras_regular_residual(s_0, i, j)
 
 
 # Power of the scale factor each report field carries: lengths and centers

@@ -496,7 +496,7 @@ class TestHullWeightsCertificate:
 
     @staticmethod
     def assert_certified(p, verts):
-        weights = _hull_weights(p, verts)
+        weights = _hull_weights(verts - p)
         foot = weights @ verts
         diam = point_set_diam(p, verts)
         assert weights.min() >= 0.0
@@ -515,7 +515,7 @@ class TestHullWeightsCertificate:
 
     def test_point_inside_face(self):
         face = validate_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        weights = _hull_weights(np.array([0.1, 0.2, 0.3]), face.vertices)
+        weights = _hull_weights(face.vertices - np.array([0.1, 0.2, 0.3]))
         assert weights == pytest.approx([0.4, 0.1, 0.2, 0.3], abs=1e-15)
 
 
@@ -530,10 +530,12 @@ def test_hull_distance_scale_and_rigid_motion_invariant(seed, exponent):
     k = int(rng.integers(1, n + 2))
     verts = rng.uniform(-5, 5, size=(k, n))
     p = rng.uniform(-8, 8, size=n)
-    base = float(np.linalg.norm(_hull_weights(p, verts) @ verts - p))
+    q = verts - p
+    base = float(np.linalg.norm(_hull_weights(q) @ q))
     q, shift = random_rigid_motion(rng, n)
     scale = 10.0**exponent
     moved_p = scale * (q @ p + shift)
     moved = scale * (verts @ q.T + shift)
-    value = float(np.linalg.norm(_hull_weights(moved_p, moved) @ moved - moved_p))
+    moved_q = moved - moved_p
+    value = float(np.linalg.norm(_hull_weights(moved_q) @ moved_q))
     assert abs(value - scale * base) <= 1e-12 * scale * point_set_diam(p, verts)

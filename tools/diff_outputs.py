@@ -15,10 +15,11 @@ in one interpreter of its own, with one BLAS thread, calling
 write ``--trace`` files.  Per workload it prints how many ops gave identical
 exit codes, stderr, stdout and trace files, how many differed in each of
 those, and every JSON path of stdout whose value differs: a number that
-moved, with the most it moved relative to the ``diam`` of its envelope (in
-absolute terms when the envelope has none), and any other difference as
-structural.  Paths write list indices as ``[]``, so one line covers every
-entry.  Nothing under ``perfbench/`` is written.
+moved, with the most it moved in units of the ``diam`` of its envelope
+raised to the power its field carries (DIAM_POWER; in absolute terms when
+the envelope has no diam), and any other difference as structural.  Paths
+write list indices as ``[]``, so one line covers every entry.  Nothing
+under ``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -60,6 +61,25 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 """
 
 
+# Power of diam in the unit of a field, by the first key of its path that
+# is listed: squared sums and residuals carry diam^2, ratios no unit, and
+# every other number is a length or a position.
+DIAM_POWER = {
+    "apollonius_residuals": 2,
+    "sum_squares_medians": 2,
+    "sum_squares_center_to_vertices": 2,
+    "sum_squares_edges": 2,
+    "thickness": 0,
+    "thickness_estimate": 0,
+}
+UNITS = {0: "(no unit)", 1: "diam", 2: "diam^2"}
+
+
+def diam_power(path: str) -> int:
+    """The power of diam in the unit of the value at a JSON path."""
+    return next((DIAM_POWER[key] for key in path.replace("[]", "").split(".") if key in DIAM_POWER), 1)
+
+
 def _number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
@@ -78,20 +98,20 @@ def find_diam(doc) -> float | None:
     return None
 
 
-def compare_json(old, new, scale: float = 1.0, path: str = "$") -> tuple[dict, list]:
+def compare_json(old, new, diam: float = 1.0, path: str = "$") -> tuple[dict, list]:
     """(moves, structural) between two parsed JSON values.
 
     ``moves`` maps the path of each number that differs, with either side a
-    float, to its largest |new - old| / scale; two integers that differ, a
-    changed type, key set or list length, or any other changed value is a
-    structural difference, listed by path.
+    float, to its largest |new - old| / diam^p, p its diam_power; two
+    integers that differ, a changed type, key set or list length, or any
+    other changed value is a structural difference, listed by path.
     """
     moves, structural = {}, []
 
     def walk(a, b, here):
         if _number(a) and _number(b) and (isinstance(a, float) or isinstance(b, float)):
             if a != b:
-                move = abs(float(b) - float(a)) / scale
+                move = abs(float(b) - float(a)) / diam ** diam_power(here)
                 moves[here] = max(moves.get(here, 0.0), move)
         elif isinstance(a, dict) and isinstance(b, dict):
             if a.keys() != b.keys():
@@ -111,8 +131,8 @@ def compare_json(old, new, scale: float = 1.0, path: str = "$") -> tuple[dict, l
 
 
 def compare_stdout(old: str, new: str) -> tuple[dict, list, bool]:
-    """compare_json over the JSON lines of two stdouts, each envelope scaled
-    by its own diam; the flag is True when a move is absolute, as its
+    """compare_json over the JSON lines of two stdouts, each envelope in
+    units of its own diam; the flag is True when a move is absolute, as its
     envelope has no diam."""
     old_lines, new_lines = old.splitlines(), new.splitlines()
     if len(old_lines) != len(new_lines):
@@ -188,8 +208,8 @@ def report(name: str, ops: list, old: list, new: list) -> list:
     lines = [f"{name}: {same} of {len(ops)} distinct ops identical"]
     for label, keys in differ.items():
         lines.append(f"  {label} differs in {len(keys)} ops" + (f" (first {keys[0]})" if keys else ""))
-    unit = "diam, or absolute without one" if absolute else "diam"
     for path in sorted(moves):
+        unit = UNITS[diam_power(path)] + (", or absolute without a diam" if absolute else "")
         lines.append(f"  moved {path}: {counts[path]} ops, at most {moves[path]:.2g} {unit}")
     for line, keys in sorted(structural.items()):
         lines.append(f"  structural {line}: {len(keys)} ops (first {keys[0]})")
