@@ -224,14 +224,13 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
         BisectionStep(depth, choice, diam, shor, bound, _kearfott(depth, m, diam0), center)
         for depth, ((choice, diam, shor, bound), center) in enumerate(zip(records, centers))
     ]
-    # norm's sum of squares overflows for components near 1e154, hypot does not.
-    residual = float(np.linalg.norm(value)) if max(map(abs, value)) < 1e153 else math.hypot(*value)
+    # hypot, unlike a sum of squares, does not overflow for components near 1e154.
     return BisectionTrace(
         steps=steps,
         final_approximation=approximation,
         final_error_estimate=bound,
         converged=bound <= tol,
-        residual_norm=residual,
+        residual_norm=math.hypot(*value),
     )
 
 

@@ -221,7 +221,8 @@ def cmd_enclose(args) -> int:
         payload["blumenthal_wahlin"] = {"subset_max": subset_max, "full": full}
     if radius > 0.0:  # the points are not all equal, so they have a diameter
         diam = enclosing.set_diameter(pts, center, support)
-        jung = enclosing.jung_bound(diam, dim)
+        # In the hull dimension, which the exact ball's cap counts too.
+        jung = enclosing.jung_bound(diam, min(dim, len(pts) - 1))
         enclosing.check_enclosure_bound(radius, min(jung, bound), diam)
         payload.update(diam=diam, jung_bound=jung, bounds_hold=True)
     print(_envelope("enclose", digest, payload))

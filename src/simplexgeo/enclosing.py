@@ -12,9 +12,12 @@ when it stops (see ``_walk``).  The exact ball of a Simplex
 on the simplex's squared distances (see ``_descend``), forms the ball once
 from coordinates and certifies it as the walk does; the walk takes over
 when that fails.  Both take a support's circumcenter from one routine,
-``_support_ball``: an SVD of the support's edge vectors.  The diameter of
-a point set, which Jung's bound needs, is ``set_diameter``: the exact
-ball's support and center prune its scan of the pairs.
+``_support_ball``: an SVD of the support's edge vectors, with the support
+in index order, so a simplex gets the same ball from either unless its
+support is decided by a tie.  The diameter of a point set, which Jung's
+bound needs, is ``set_diameter``: the exact ball's support and center
+prune its scan of the pairs.  Jung's bound is taken in the dimension of
+the set's affine hull, min(n, N-1) for N points, as the caps count it.
 """
 
 from __future__ import annotations
@@ -125,19 +128,22 @@ def _walk(cols: np.ndarray) -> tuple[np.ndarray, list]:
     farther than (1 + _IN_BALL_RTOL) R from the support's circumcenter, R
     its circumradius, up to the rounding of the computed circumcenter.
 
-    A step costs one O(N n) pass over the points plus one ``_support_ball``,
-    an SVD of at most 10 support edges, which gives the circumcenter, its
-    coefficients and a basis of the hull's directions.
+    A step costs one O(N n) pass over the points, which on the first step
+    also picks the point farthest from the centroid as the first support
+    point, plus one ``_support_ball``, an SVD of at most 10 support edges,
+    which gives the circumcenter, its coefficients and a basis of the
+    hull's directions.  The support is kept in index order, as ``_descend``
+    returns it, so a simplex whose descent and walk find the same support
+    gets the same ball from both; the returned support is sorted.
     """
     count = cols.shape[1]
-    center = cols.mean(axis=1)
-    rel = cols - center[:, None]
-    support = [int(np.argmax(np.einsum("ij,ij->j", rel, rel)))]
+    center, support = cols.mean(axis=1), []
     for _ in range(WALK_MAX_STEPS):
-        target, coef, basis = _support_ball(cols[:, support].T)
         rel = cols - center[:, None]
         dist2 = np.einsum("ij,ij->j", rel, rel)
         r2 = float(dist2.max())
+        support = sorted(support or [int(np.argmax(dist2))])
+        target, coef, basis = _support_ball(cols[:, support].T)
         step = target - center
         # Remove rounding along the hull, so points of the hull cannot stop the walk.
         step -= (basis @ step) @ basis
@@ -184,7 +190,7 @@ def _walk_ball(origin: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, flo
     dist2 = ((cols - center[:, None]) ** 2).sum(axis=0)
     far = offsets[dist2 >= (1.0 - RESCAN_RTOL) * dist2.max()]
     radius = float(np.sqrt(((far - center) ** 2).sum(axis=1).max()))
-    return origin + center, radius, tuple(sorted(support))
+    return origin + center, radius, tuple(support)
 
 
 def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:

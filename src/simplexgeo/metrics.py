@@ -25,7 +25,6 @@ from .core import (
     check_positive,
     is_regular,
     regular_simplex,
-    validate_simplex,
 )
 from .enclosing import jung_bound, simplex_meb_support
 from .errors import DimensionMismatch, NotFullDimensional
@@ -247,14 +246,13 @@ def eggleston_suite(s: Simplex) -> list:
 def gale_diameter_check(n: int) -> tuple[float, float]:
     """Diameter of the regular n-simplex whose inscribed ball has diameter 1.
 
-    Returns (closed form sqrt(n (n+1) / 2), the numerically measured
-    diameter after rescaling a unit-edge regular simplex).
+    Returns (closed form sqrt(n (n+1) / 2), the measured diameter of a
+    unit-edge regular simplex over the diameter of its inscribed ball).
     """
     check_int("n", n, 1)
     base = regular_simplex(n, n, 1.0)
     inradius, _ = barycentric_inradius(base)
-    scaled = validate_simplex(base.vertices / (2.0 * inradius))
-    return math.sqrt(n * (n + 1) / 2.0), scaled.profile.diam
+    return math.sqrt(n * (n + 1) / 2.0), base.profile.diam / (2.0 * inradius)
 
 
 def metrics_report(s: Simplex) -> MetricsReport:

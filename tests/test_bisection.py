@@ -511,7 +511,7 @@ def reference_solve(f, s0, tol, max_iter):
         steps.append(record(current, len(steps), choice))
     approximation = barycenter(current)
     value = evaluate(approximation)
-    residual = float(np.linalg.norm(value)) if abs(value).max() < 1e153 else math.hypot(*value)
+    residual = math.hypot(*value)
     return BisectionTrace(
         steps=steps,
         final_approximation=approximation,

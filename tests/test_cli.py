@@ -341,6 +341,32 @@ class TestEnclose:
         radius, _ = barycentric_circumradius(validate_simplex(vertices))
         assert payload["set_barycentric_circumradius"] == pytest.approx(radius, rel=1e-12)
 
+    def test_simplex_gets_one_answer_from_both_commands(self, tmp_path, capsys):
+        # The same vertices, read as a simplex by analyze and as points by
+        # enclose, give the same ball, Jung bound and diameter bit for bit:
+        # both balls factor the support in index order, and both commands
+        # take Jung's bound in the hull dimension, here m.
+        rng = np.random.default_rng(33)
+        simplices, clouds = [], []
+        for k in range(200):
+            m = k % 10 + 1
+            vertices = random_simplex(rng, m, m + k // 10 % 3).vertices
+            simplices.append(str(write_simplex(tmp_path, f"s{k}.json", vertices)))
+            clouds.append(str(write_points(tmp_path, f"p{k}.json", vertices)))
+        code, out, err = run_cli(["analyze", *simplices], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        reports = [json.loads(line)["payload"] for line in out.splitlines()]
+        assert len(reports) == len(clouds)
+        for report, cloud in zip(reports, clouds):
+            code, out, err = run_cli(["enclose", cloud], capsys)
+            assert (code, err) == (EXIT_OK, "")
+            payload = parse_envelope(out)["payload"]
+            enclosure = report["enclosure"]
+            assert enclosure["meb_center"] == payload["meb"]["center"]
+            assert enclosure["meb_radius"] == payload["meb"]["radius"]
+            assert enclosure["jung_bound"] == payload["jung_bound"]
+            assert report["metrics"]["diam"] == payload["diam"]
+
     def test_bw_check(self, tmp_path, capsys):
         path = write_points(tmp_path, "sq.json", UNIT_SQUARE)
         code, out, _ = run_cli(["enclose", str(path), "--bw-check"], capsys)

@@ -664,3 +664,31 @@ def test_random_simplex_checks_its_arguments(m, n, coord_range):
     with pytest.raises(InvalidDimension):
         random_simplex(rng, m, n, coord_range)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
+
+
+class StubDraws:
+    """Stands in for a generator: its first ``degenerate`` draws put every
+    vertex on one line, and later draws are a seeded generator's."""
+
+    def __init__(self, degenerate):
+        self.degenerate, self.calls, self.rng = degenerate, 0, np.random.default_rng(3)
+
+    def uniform(self, low, high, size):
+        self.calls += 1
+        if self.calls <= self.degenerate:
+            return np.outer(np.arange(size[0]), np.ones(size[1]))
+        return self.rng.uniform(low, high, size=size)
+
+
+def test_random_simplex_resamples_a_degenerate_draw():
+    stub = StubDraws(degenerate=3)
+    s = random_simplex(stub, 2, 3)
+    want = np.random.default_rng(3).uniform(-10.0, 10.0, size=(3, 3))
+    assert stub.calls == 4 and np.array_equal(s.vertices, want)
+
+
+def test_random_simplex_gives_up_after_64_degenerate_draws():
+    stub = StubDraws(degenerate=math.inf)
+    with pytest.raises(Degenerate, match="in 64 tries"):
+        random_simplex(stub, 2, 3)
+    assert stub.calls == 64

@@ -5,9 +5,12 @@ import importlib.util
 import json
 import sys
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+from simplexgeo import bisection
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "diff_outputs.py"
 _spec = importlib.util.spec_from_file_location("diff_outputs", TOOL)
@@ -115,3 +118,41 @@ def test_unknown_workload_is_refused(monkeypatch, capsys):
         diff_outputs.main([str(diff_outputs.ROOT), "--workload", "enclose"])
     assert exc.value.code == 2 and built == []
     assert "invalid choice: 'enclose'" in capsys.readouterr().err
+
+
+def test_extra_workload_needs_no_benchmark_workload(monkeypatch, capsys):
+    built = fake_workloads(monkeypatch)
+    assert diff_outputs.main([str(diff_outputs.ROOT), "--workload", "extra"]) == 0
+    assert built == []
+    assert "extra: 117 of 117 distinct ops identical" in capsys.readouterr().out
+    assert diff_outputs.main([str(diff_outputs.ROOT)]) == 0
+    assert built == list(diff_outputs.WORKLOADS)
+    assert "extra: 117 of 117 distinct ops identical" in capsys.readouterr().out
+
+
+def test_extra_ops_cover_what_the_benchmark_never_runs(tmp_path):
+    ops = diff_outputs.extra_ops(1, tmp_path / "a")
+    again = diff_outputs.extra_ops(1, tmp_path / "b")
+    for (_, argv), (_, same) in zip(ops, again, strict=True):
+        for path, copy in zip(argv, same):
+            if path.endswith(".json"):
+                assert Path(path).read_bytes() == Path(copy).read_bytes()
+    by_command = defaultdict(list)
+    for key, argv in ops:
+        by_command[argv[0]].append(argv)
+    assert len({key for key, _ in ops}) == len(ops)
+    # The same vertices go to analyze as a simplex and to enclose as points.
+    simplices = [json.loads(Path(argv[1]).read_text())["vertices"] for argv in by_command["analyze"]]
+    plain = [argv for argv in by_command["enclose"] if len(argv) == 2]
+    assert [json.loads(Path(argv[1]).read_text())["points"] for argv in plain] == simplices
+    assert len(simplices) == 40 and all(len(v) <= len(v[0]) for v in simplices)  # m < n
+    assert sorted({len(v) - 1 for v in simplices}) == list(range(1, 11))
+    subsets = [argv for argv in by_command["enclose"] if len(argv) > 2]
+    for argv in subsets:
+        assert argv[2:] == ["--variant-jung", "--bw-check"]
+        points = json.loads(Path(argv[1]).read_text())["points"]
+        assert len(points[0]) + 1 <= len(points) <= 15
+    assert [argv[2::2] for argv in by_command["regular"]] == [
+        [str(m), str(n)] for m in range(1, 11) for n in (m, m + 2)
+    ]
+    assert sorted(argv[1] for argv in by_command["solve"]) == sorted(bisection.BUILTIN_SYSTEMS)

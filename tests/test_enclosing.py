@@ -744,6 +744,16 @@ class TestSimplexBall:
             assert min(map(abs, coef)) <= enclosing._IN_BALL_RTOL, name
         assert_support_certified(s.vertices, support)
 
+    def test_random_simplices_get_the_walks_bits(self):
+        # Both balls factor the support in index order, so a simplex whose
+        # support has no tie gets the same center, radius and support bit
+        # for bit from either entry.
+        rng = np.random.default_rng(33)
+        for _ in range(1000):
+            m = int(rng.integers(1, 11))
+            s = random_simplex(rng, m, int(rng.integers(m, 13)))
+            assert_same_bits(simplex_meb_support(s), exact_meb_support(s.vertices))
+
     def test_ties_are_covered(self):
         # The right triangle's weight 0 gives the descent the whole triangle
         # and the walk the hypotenuse.

@@ -27,7 +27,7 @@ from simplexgeo import (
     thickness,
     validate_simplex,
 )
-from simplexgeo import apollonius
+from simplexgeo import apollonius, metrics
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
     DimensionMismatch,
@@ -97,6 +97,14 @@ class TestDistancePointToFace:
         with pytest.raises(InvalidPoint):
             distance_point_to_face(point, face)
         assert capfd.readouterr() == ("", "")
+
+    def test_cycle_cap_raises(self, monkeypatch):
+        # The cap of Wolfe's major cycles ends the search with an error, not
+        # with a point that failed the optimality test.
+        monkeypatch.setattr(metrics, "_WOLFE_MAX_CYCLES", 0)
+        face = validate_simplex([(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            distance_point_to_face((2.0, 2.0), face)
 
 
 class TestBarycentricInradius:

@@ -5,14 +5,15 @@ Usage, from the root of a source checkout:
     python3 tools/diff_outputs.py PARENT_ROOT [--seed N] [--workload NAME ...]
 
 Generates the inputs of the ``perfbench`` workloads for seed N (default 1)
-in a temporary directory, with this checkout's ``perfbench/workloads.py``:
-all four, or only those named by ``--workload`` (repeatable, so that a
-change to one command can compare that command's ops alone).  It runs
-every distinct op (distinct by its arguments) once with this
-checkout's ``src`` and once with PARENT_ROOT's.  Each tree runs all its ops
-in one interpreter of its own, with one BLAS thread, calling
-``simplexgeo.cli.main`` in-process as the benchmark does; ``solve`` ops also
-write ``--trace`` files.  Per workload it prints how many ops gave identical
+in a temporary directory, with this checkout's ``perfbench/workloads.py``,
+and those of ``extra``, the invocations the benchmark never runs (see
+``extra_ops``): all five, or only those named by ``--workload``
+(repeatable, so that a change to one command can compare that command's
+ops alone).  It runs every distinct op (distinct by its arguments) once
+with this checkout's ``src`` and once with PARENT_ROOT's.  Each tree runs
+all its ops in one interpreter of its own, with one BLAS thread, calling
+``simplexgeo.cli.main`` in-process as the benchmark does; ``solve`` ops
+also write ``--trace`` files.  Per workload it prints how many ops gave identical
 exit codes, stderr, stdout and trace files, how many differed in each of
 those, and every JSON path of stdout whose value differs: a number that
 moved, with the most it moved in units of the ``diam`` of its envelope
@@ -33,8 +34,18 @@ import tempfile
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("analyze-low-m", "analyze-high-m", "enclose-cloud", "solve-deep")
+EXTRA = "extra"
+# A start simplex for each built-in system of ``solve``: the corner simplex
+# with legs of 2, which holds every root but no-root-1d's.
+SOLVE_STARTS = {
+    name: np.vstack([np.zeros(dim), 2.0 * np.eye(dim)])
+    for name, dim in (("linear-0.7", 1), ("no-root-1d", 1), ("cubic-1d", 1),
+                      ("shifted-identity-2d", 2), ("circle-line-2d", 2))
+}
 
 # Runs in a fresh interpreter with the tree's src first on sys.path: every
 # op of the JSON list in argv[2] through cli.main, results to argv[3].
@@ -166,6 +177,39 @@ def distinct_ops(workload) -> list:
     return ops
 
 
+def extra_ops(seed: int, inputs: Path) -> list:
+    """(key, argv) of the ops the benchmark never runs, their inputs written
+    under ``inputs``: ``analyze`` and ``enclose`` on the same vertices of 40
+    seeded m-simplices in R^(m+1) and R^(m+2), m = 1..10; ``enclose
+    --variant-jung --bw-check`` on 12 seeded Gaussian clouds of n+1 to 15
+    points in R^n, n = 1..4; ``regular`` for m = 1..10 with n = m and
+    n = m + 2; and ``solve`` once per built-in system from SOLVE_STARTS."""
+    inputs.mkdir(parents=True)
+    rng, ops = np.random.default_rng(seed), []
+
+    def write(name, key, rows):
+        path = inputs / f"{name}.json"
+        path.write_text(json.dumps({key: np.asarray(rows).tolist()}), encoding="utf-8")
+        return str(path)
+
+    for k in range(40):
+        m = 1 + k % 10
+        vertices = rng.uniform(-10.0, 10.0, size=(m + 1, m + 1 + k // 10 % 2))
+        ops.append((f"analyze.{k}", ["analyze", write(f"simplex{k}", "vertices", vertices)]))
+        ops.append((f"enclose.{k}", ["enclose", write(f"vertices{k}", "points", vertices)]))
+    for k in range(12):
+        n = 1 + k % 4
+        cloud = rng.normal(size=(int(rng.integers(n + 1, 16)), n))
+        ops.append((f"subsets.{k}", ["enclose", write(f"cloud{k}", "points", cloud),
+                                     "--variant-jung", "--bw-check"]))
+    for m in range(1, 11):
+        for n in (m, m + 2):
+            ops.append((f"regular.{m}.{n}", ["regular", "--m", str(m), "--n", str(n)]))
+    for name, start in SOLVE_STARTS.items():
+        ops.append((f"solve.{name}", ["solve", name, write(name, "vertices", start), "--tol", "1e-10"]))
+    return ops
+
+
 def run_tree(src: Path, ops: list, workdir: Path) -> list:
     """[rc, stdout, stderr, trace bytes or None] per op, run in ``workdir``,
     where each solve op writes its trace to ``trace/<index>.jsonl``."""
@@ -220,7 +264,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_root", type=Path)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS, dest="workloads")
+    parser.add_argument("--workload", action="append", choices=(*WORKLOADS, EXTRA), dest="workloads")
     args = parser.parse_args(argv)
     parent_src = args.parent_root.resolve() / "src"
     if not (parent_src / "simplexgeo").is_dir():
@@ -230,9 +274,12 @@ def main(argv=None) -> int:
     import workloads
 
     with tempfile.TemporaryDirectory(prefix="diff_outputs_") as tmp:
-        for name in dict.fromkeys(args.workloads or WORKLOADS):
+        for name in dict.fromkeys(args.workloads or (*WORKLOADS, EXTRA)):
             base = Path(tmp) / name
-            ops = distinct_ops(workloads.BY_NAME[name](args.seed, str(base / "inputs")))
+            if name == EXTRA:
+                ops = extra_ops(args.seed, base / "inputs")
+            else:
+                ops = distinct_ops(workloads.BY_NAME[name](args.seed, str(base / "inputs")))
             new = run_tree(ROOT / "src", ops, base / "this")
             old = run_tree(parent_src, ops, base / "parent")
             print("\n".join(report(name, ops, old, new)), flush=True)
