@@ -87,14 +87,14 @@ class Simplex:
     """Ordered vertices of a validated m-simplex, stored as an (m+1, n) array.
 
     The quantities the reports share (offsets, sq_distances, radicand_pair,
-    profile, barycenter_offset, edge_factor and inverse_altitudes) are
-    formed on first use, once per simplex, and kept read-only:
-    ``cached_property`` writes the instance dict directly, which the frozen
-    dataclass allows.  The offsets are the one frame of the coordinate
-    routes: each takes its differences there, so where the simplex lies
-    rounds none of them, and v_0 is added back only to a reported position.
-    A simplex from validate_simplex already holds its edge_factor, which
-    the rank test formed.  Simplices compare and hash by identity, as each
+    profile, barycenter_offset, edge_svd and inverse_altitudes) are formed
+    on first use, once per simplex, and kept read-only: ``cached_property``
+    writes the instance dict directly, which the frozen dataclass allows.
+    The offsets are the one frame of the coordinate routes: each takes its
+    differences there, so where the simplex lies rounds none of them, and
+    v_0 is added back only to a reported position.  A simplex from
+    validate_simplex already holds its edge_svd, which the rank test
+    formed.  Simplices compare and hash by identity, as each
     carries its own caches; ``np.array_equal(s.vertices, t.vertices)``
     compares their vertices.
     """
@@ -141,30 +141,53 @@ class Simplex:
         return _read_only(centroid(self.offsets))
 
     @cached_property
-    def edge_factor(self) -> np.ndarray:
-        """Upper triangular R of (v_1 - v_0, ..., v_m - v_0) = QR, without Q:
-        the one factorization of the edges, which the rank test, volume and
-        inverse_altitudes read."""
-        return _read_only(np.linalg.qr(self.offsets[1:].T, mode="r"))
+    def edge_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, S, V^T) of the edge matrix E = (v_1 - v_0, ..., v_m - v_0) as
+        rows, by factor_edges: the one factorization of the edges, which the
+        rank test, volume, inverse_altitudes and a full-support exact ball
+        read."""
+        return tuple(map(_read_only, factor_edges(self.offsets[1:])))
 
     @cached_property
     def inverse_altitudes(self) -> np.ndarray:
         """1/h_i for every vertex i, h_i the altitude from vertex i.
 
-        With (v_1 - v_0, ..., v_m - v_0) = QR, R the edge_factor, the
-        barycentric coordinates of a point x of the affine hull are
-        lambda_{1..m} = R^-1 Q^T (x - v_0).  So the rows of R^-1 are the
-        gradients of lambda_1..lambda_m in the basis Q, the gradient of
-        lambda_0 is minus their sum, and the norm of the gradient of
-        lambda_i is 1/h_i.
+        With E = U S V^T the edge_svd, the barycentric coordinates of a point
+        x of the affine hull are lambda_{1..m} = U S^-1 V^T (x - v_0).  So
+        the rows of G = U S^-1 are the gradients of lambda_1..lambda_m in the
+        basis V, the gradient of lambda_0 is minus their sum, and the norm
+        of the gradient of lambda_i is 1/h_i.  Raises LinAlgError when a
+        singular value is 0, as an unvalidated degenerate simplex has.
         """
-        inverse = np.linalg.inv(self.edge_factor)
-        return _read_only(np.linalg.norm(np.vstack([-inverse.sum(axis=0), inverse]), axis=1))
+        u, sv, _ = self.edge_svd
+        if not sv.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        gradients = u / sv
+        return _read_only(np.linalg.norm(np.vstack([-gradients.sum(axis=0), gradients]), axis=1))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+# LAPACK's SVD rescales a matrix whose largest |entry| lies below about
+# 2^-459 or above 2^459, by a factor that is not a power of two.  Inside
+# this window, the factors of 2^k E are (U, 2^k S, V^T) bit for bit.
+_SVD_WINDOW = (2.0**-400, 2.0**400)
+
+
+def factor_edges(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (U, S, V^T) of the k x n rows ``edges``, S descending, such
+    that 2^j edges gives (U, 2^j S, V^T) bit for bit whenever no entry is
+    subnormal: a matrix whose largest |entry| lies outside _SVD_WINDOW is
+    factored at the power of two that puts that entry in [1/2, 1)."""
+    top = float(np.abs(edges).max(initial=0.0))
+    if _SVD_WINDOW[0] <= top <= _SVD_WINDOW[1]:
+        return np.linalg.svd(edges, full_matrices=False)
+    _, scale = math.frexp(top)
+    u, sv, vt = np.linalg.svd(np.ldexp(edges, -scale), full_matrices=False)
+    return u, np.ldexp(sv, scale), vt
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,9 +245,8 @@ def validate_simplex(vertices) -> Simplex:
     its largest, and Underflow when the smallest, sv, has sv**2 below (m+1)
     times the smallest normal float.  Edges are >= sv and inverse altitudes
     <= sqrt(m)/sv, so then their squares are in range.  The singular values
-    are those of the m x m edge_factor R, since the edge matrix is QR with
-    orthonormal Q: one QR of the n x m matrix and one SVD of R, and the
-    simplex returned keeps R.
+    are the simplex's edge_svd, one SVD of the m x n edge matrix, which the
+    simplex returned keeps.
     """
     arr = as_points(vertices)
     if len(arr) < 2:
@@ -236,7 +258,7 @@ def validate_simplex(vertices) -> Simplex:
         )
     check_range(arr)
     s = Simplex(arr)
-    sv = np.linalg.svd(s.edge_factor, compute_uv=False)
+    sv = s.edge_svd[1]
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise Degenerate(
             "vertices are affinely dependent within tolerance "
@@ -371,7 +393,7 @@ def require_regular(s: Simplex) -> EdgeProfile:
 
 def volume(s: Simplex) -> float:
     """Euclidean volume |det E| / m!, defined only for full-dimensional
-    simplices: with E = QR, |det E| is the product of R's diagonal."""
+    simplices: |det E| is the product of E's singular values."""
     if s.m != s.n:
         raise NotFullDimensional(f"volume needs m == n, got m={s.m}, n={s.n}")
-    return abs(float(np.prod(np.diag(s.edge_factor)))) / math.factorial(s.m)
+    return float(np.prod(s.edge_svd[1])) / math.factorial(s.m)

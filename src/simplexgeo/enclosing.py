@@ -12,11 +12,12 @@ when it stops (see ``_walk``).  The exact ball of a Simplex
 on the simplex's squared distances (see ``_descend``), forms the ball once
 from coordinates and certifies it as the walk does; the walk takes over
 when that fails.  Both take a support's circumcenter from one routine,
-``_support_ball``: an SVD of the support's edge vectors, with the support
-in index order, so a simplex gets the same ball from either unless its
-support is decided by a tie.  The diameter of a point set, which Jung's
-bound needs, is ``set_diameter``: the exact ball's support and center
-prune its scan of the pairs.  Jung's bound is taken in the dimension of
+``_support_ball``: an SVD of the support's edge vectors by
+``core.factor_edges``, with the support in index order, so a simplex gets
+the same ball from either unless its support is decided by a tie; a
+support of every vertex reads the SVD the simplex already holds.  The
+diameter of a point set, which Jung's bound needs, is ``set_diameter``:
+the exact ball's support and center prune its scan of the pairs.  Jung's bound is taken in the dimension of
 the set's affine hull, min(n, N-1) for N points, as the caps count it.
 """
 
@@ -35,6 +36,7 @@ from .core import (
     check_int,
     check_positive,
     check_range,
+    factor_edges,
     require_regular,
 )
 from .errors import (
@@ -261,7 +263,8 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     cap on m comes before any O(m^2 n) work.  ``_descend`` picks the support
     from the simplex's squared distances, in O(m^3) per step and at most
     2 (m+1) steps.  The ball is then formed once from coordinates on the
-    support and certified as the walk certifies its own: every barycentric
+    support, from the simplex's edge_svd when the support is every vertex,
+    and certified as the walk certifies its own: every barycentric
     coefficient >= -_IN_BALL_RTOL, and no vertex farther than
     (1 + _IN_BALL_RTOL) times the support's radius.  The radius covers
     every vertex.  When the descent fails or the certificate does not hold,
@@ -271,7 +274,9 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     _check_caps(*pts.shape)
     support = _descend(s.sq_distances)
     if support is not None:
-        center, coef, _ = _support_ball(s.offsets[support])
+        # A support of every vertex has the simplex's edges, already factored.
+        factors = s.edge_svd if len(support) == len(pts) else None
+        center, coef, _ = _support_ball(s.offsets[support], factors)
         dist2 = ((s.offsets - center) ** 2).sum(axis=1)
         far2, ball2 = float(dist2.max()), (1.0 + _IN_BALL_RTOL) ** 2 * float(dist2[support].max())
         if coef.min() >= -_IN_BALL_RTOL and far2 <= ball2:
@@ -279,7 +284,7 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     return _walk_ball(pts[0], s.offsets)
 
 
-def _support_ball(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _support_ball(sup: np.ndarray, factors=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Circumcenter of the affinely independent rows ``sup`` within their
     affine hull, its barycentric coefficients on them, and an orthonormal
     basis of the hull's directions as rows.
@@ -289,13 +294,14 @@ def _support_ball(sup: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     circumcenter is g + V S^-1 U^T b, as the least-norm solution x of
     E x = b levels the squared distances from g + x to the rows; its
     coefficients on p_1..p_k are 1/(k+1) + U S^-2 U^T b.  The basis is V^T.
+    The factors are ``core.factor_edges(E)``, or ``factors`` when given,
+    which must be those.
     """
     # Centered at g: from sup[0], exact ties broke (a radius 1.0 read 1.0000000000000004).
     centroid = sup.mean(axis=0)
     rel = sup - centroid
-    edges = sup[1:] - sup[0]
     half = 0.5 * np.einsum("ij,ij->i", rel, rel)
-    u, sv, vt = np.linalg.svd(edges, full_matrices=False)
+    u, sv, vt = factor_edges(sup[1:] - sup[0]) if factors is None else factors
     w = (half[1:] - half[0]) @ u / sv
     coef = 1.0 / len(sup) + u @ (w / sv)
     return centroid + w @ vt, np.concatenate(([1.0 - coef.sum()], coef)), vt

@@ -1,11 +1,11 @@
 """Inradius, thickness, width bounds, and related comparison checks.
 
 Both inradii come from the altitudes h_i: Simplex.inverse_altitudes,
-read once per simplex off the triangular factor of the edge vectors that
-validation formed for its rank test.  The barycenter lies inside the
-simplex, so its nearest face point is the foot on the nearest facet
-plane, at distance h_i/(m+1).  Full-dimensional simplices additionally
-get the true inradius from 1/r = sum 1/h_i.  A cheaper estimate replaces
+read once per simplex off the SVD of the edge vectors that validation
+formed for its rank test.  The barycenter lies inside the simplex, so
+its nearest face point is the foot on the nearest facet plane, at
+distance h_i/(m+1).  Full-dimensional simplices additionally get the
+true inradius from 1/r = sum 1/h_i.  A cheaper estimate replaces
 each face distance by the distance to the face centroid, which can only
 overestimate.  The exact point-to-face distance, by Wolfe's nearest-point
 algorithm, is the independent route the test suite checks them against.
@@ -125,9 +125,9 @@ def barycentric_inradius(s: Simplex) -> tuple[float, int]:
     radius lies in the simplex and touches that plane inside the face,
     so the face distances have the same minimum and argmin.
 
-    Cost: the simplex's inverse_altitudes, one QR of the n x m edge matrix
-    and one m x m inverse, each formed once per simplex, O(m^2 n + m^3),
-    with no iteration.
+    Cost: the simplex's inverse_altitudes, from the SVD of the m x n edge
+    matrix that validation formed, O(m^2 n) once per simplex, and O(m^2)
+    more, with no iteration.
     """
     inv_h = s.inverse_altitudes
     argmin = int(np.argmax(inv_h))
@@ -169,8 +169,9 @@ def exact_inradius_fulldim(s: Simplex) -> tuple[np.ndarray, float]:
     the vertices weighted by 1/h_i, which is proportional to the area of
     the opposite facet.
 
-    Accuracy: with R the triangular factor of the edge vectors v_i - v_0
-    and kappa = ||R||_F ||R^-1||_F its Frobenius condition number, the
+    Accuracy: with E the matrix of the edge vectors v_i - v_0, S its
+    singular values (also those of R in E^T = QR) and kappa =
+    ||E||_F ||E^-1||_F = |S| |1/S| its Frobenius condition number, the
     inradius is within 2 kappa eps relative and the incenter within
     32 kappa eps r, eps the float epsilon.  Forming v_i - v_0 in floats
     already costs that much, so the method is at its floor.  The tests

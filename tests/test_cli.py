@@ -203,16 +203,21 @@ class TestAnalyze:
         assert err == "error: exact ball supports dimension <= 10, got 11\n"
 
     def test_each_quantity_formed_once_per_simplex(self, tmp_path, capsys, monkeypatch):
-        # The squared distances, the radicands, the barycenter, the edge
-        # factor and its inverse are formed once per simplex, however many
-        # reports read them.  The two SVDs per simplex are the rank test's,
-        # of the edge factor, and the ball's, of its support's edges.
+        # The squared distances, the radicands, the barycenter and the SVD
+        # of the edges are formed once per simplex, however many reports read
+        # them, and nothing factors the edges by QR or inverts them.  The
+        # rank test's SVD also serves the inradii and, when the descent keeps
+        # every vertex, the exact ball; a support of fewer vertices takes one
+        # SVD of its own edges.
         rng = np.random.default_rng(26)
+        simplices = [random_simplex(rng, m, n) for m in range(1, 11) for n in (m, m + 2)]
         paths = [
-            write_simplex(tmp_path, f"m{m}-n{n}.json", random_simplex(rng, m, n).vertices)
-            for m in range(1, 11)
-            for n in (m, m + 2)
+            write_simplex(tmp_path, f"m{s.m}-n{s.n}.json", s.vertices) for s in simplices
         ]
+        supports = [enclosing._descend(s.sq_distances) for s in simplices]
+        assert None not in supports
+        partial = sum(len(support) < s.m + 1 for s, support in zip(simplices, supports))
+        assert 0 < partial < len(simplices)
         counts = collections.Counter()
 
         def counting(module, name):
@@ -239,7 +244,7 @@ class TestAnalyze:
         assert code == EXIT_OK and err == ""
         assert len(out.splitlines()) == len(paths)
         assert counts == {
-            "squared_distance_matrix": 20, "radicands": 20, "centroid": 20, "qr": 20, "inv": 20, "svd": 40,
+            "squared_distance_matrix": 20, "radicands": 20, "centroid": 20, "svd": 20 + partial,
         }
 
     def test_crlf_input(self, tmp_path, capsys):
@@ -675,7 +680,7 @@ class TestDeterminism:
 
     def test_cross_process_bytes(self, tmp_path):
         tri = write_simplex(tmp_path, "tri.json", [(0.7, 0.2), (2.1, 0.3), (0.4, 1.8)])
-        # The thin triangle's edge factor has condition 3.3e8.
+        # The thin triangle's edge matrix has condition 3.3e8.
         thin = write_simplex(tmp_path, "thin.json", [(0, 0), (1, 0), (0, 3e-9)])
         for path in (tri, thin):
             # pytest's warning filter does not reach a child process; -W does.

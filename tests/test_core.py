@@ -29,6 +29,7 @@ from simplexgeo.core import (
     check_range,
     edge_spread,
     extremal_edges,
+    factor_edges,
     require_regular,
 )
 from simplexgeo.corpus import random_simplex
@@ -131,7 +132,7 @@ class TestValidate:
         def cached(x):
             return [
                 x.offsets, x.sq_distances, *x.radicand_pair, x.profile.lengths, x.barycenter_offset,
-                x.edge_factor, x.inverse_altitudes,
+                *x.edge_svd, x.inverse_altitudes,
             ]
 
         for a, b in zip(cached(s), cached(t)):
@@ -160,9 +161,10 @@ def reference_validate_simplex(vertices) -> Simplex:
     """The row-by-row validation that ``validate_simplex`` replaced for real
     2-D arrays, kept as a reference: every row through ``as_point``, then
     the dimension test and one ``vstack``; a scalar is one row.  Its rank
-    test follows the same rule, the singular values of the edges' QR factor
-    R; test_rank_rule checks that rule against the SVD of the edges
-    themselves."""
+    test follows the same rule, the singular values of the edge matrix from
+    the SVD that also forms U and V^T, as the simplex's edge_svd does; they
+    differ from those of an SVD without vectors at the noise level, which
+    a rank-deficient message prints."""
     pts = [as_point(v) for v in (vertices if np.iterable(vertices) else [vertices])]
     if len(pts) < 2:
         raise TooFewPoints("a simplex needs at least 2 vertices")
@@ -179,7 +181,7 @@ def reference_validate_simplex(vertices) -> Simplex:
             f"{m + 1} points in R^{n} cannot be affinely independent"
         )
     check_range(arr)
-    sv = np.linalg.svd(np.linalg.qr((arr[1:] - arr[0]).T, mode="r"), compute_uv=False)
+    sv = np.linalg.svd(arr[1:] - arr[0], full_matrices=False)[1]
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise Degenerate(
             "vertices are affinely dependent within tolerance "
@@ -301,10 +303,10 @@ def edges_with_ratio(rng, m, n, ratio):
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_rank_rule(m):
-    """The rank test reads the singular values of the m x m edge factor R.
-    They are those of the n x m edge matrix E = QR, so both give the same
-    decision a hair away from RANK_RTOL.  (A segment has one singular value,
-    so its ratio is 1.)"""
+    """The rank test reads the singular values of the simplex's edge_svd,
+    which forms U and V^T too.  An SVD of the edge matrix without vectors
+    gives the same decision a hair away from RANK_RTOL.  (A segment has one
+    singular value, so its ratio is 1.)"""
     rng = np.random.default_rng(2700 + m)
     for n in (m, m + 1, m + 3):
         for _ in range(20):
@@ -595,7 +597,7 @@ class TestVolume:
 
     def test_matches_determinant(self):
         # |det E| / m! from the edge matrix's LU, against the product of the
-        # QR factor's diagonal that volume reads.
+        # singular values that volume reads.
         rng = np.random.default_rng(2701)
         for m in range(1, 11):
             for _ in range(30):
@@ -606,6 +608,37 @@ class TestVolume:
     def test_needs_full_dimension(self):
         with pytest.raises(NotFullDimensional, match="m=2, n=3"):
             volume(validate_simplex([(0, 0, 0), (1, 0, 0), (0, 1, 0)]))
+
+
+class TestFactorEdges:
+    def test_inside_the_window_it_is_numpys_svd(self):
+        rng = np.random.default_rng(3401)
+        for m in range(1, 11):
+            for n in (m, m + 2):
+                for k in (-400, -1, 0, 1, 400):
+                    edges = np.ldexp(rng.normal(size=(m, n)), k)
+                    for got, want in zip(factor_edges(edges), np.linalg.svd(edges, full_matrices=False)):
+                        assert np.array_equal(got, want)
+
+    def test_factors_scale_exactly(self):
+        # 2^k E gives (U, 2^k S, V^T) bit for bit across -600..600, inside
+        # the window and out of it; numpy's SVD alone breaks from about
+        # 2^+-459, where LAPACK rescales by a factor that is not a power of two.
+        rng = np.random.default_rng(3402)
+        for m in range(1, 11):
+            for n in (m, m + 2):
+                edges = rng.normal(size=(m, n))
+                u, sv, vt = factor_edges(edges)
+                for k in range(-600, 601, 25):
+                    got = factor_edges(np.ldexp(edges, k))
+                    assert np.array_equal(got[0], u) and np.array_equal(got[2], vt)
+                    assert np.array_equal(got[1], np.ldexp(sv, k))
+
+    def test_empty_and_zero_edges(self):
+        # A walk's support of one point has no edges.
+        u, sv, vt = factor_edges(np.empty((0, 3)))
+        assert u.shape == (0, 0) and sv.shape == (0,) and vt.shape == (0, 3)
+        assert not factor_edges(np.zeros((2, 3)))[1].any()
 
 
 @st.composite

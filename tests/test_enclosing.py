@@ -754,6 +754,32 @@ class TestSimplexBall:
             s = random_simplex(rng, m, int(rng.integers(m, 13)))
             assert_same_bits(simplex_meb_support(s), exact_meb_support(s.vertices))
 
+    def test_full_supports_keep_the_walks_bits_at_any_scale(self):
+        # A support of every vertex reads the simplex's cached SVD of its
+        # edges, which the walk forms afresh.  Scaled by 2^k, at the thinness
+        # floor (the smallest k that validation accepts) and at k = -400 and
+        # 400, both give the same ball; at k = +-400 it is 2^k times the
+        # unscaled one.  (At the floor, squared lengths in the circumcenter's
+        # right-hand side can be subnormal, so that ball is not exactly scaled.)
+        tiny = np.finfo(float).tiny
+        rng = np.random.default_rng(34)
+        full = 0
+        while full < 200:
+            m = int(rng.integers(1, 11))
+            s = random_simplex(rng, m, int(rng.integers(m, 13)))
+            if len(enclosing._descend(s.sq_distances)) < m + 1:
+                continue
+            full += 1
+            want = simplex_meb_support(s)
+            sv = np.linalg.svd(s.offsets[1:], compute_uv=False)[-1]
+            floor = math.ceil(math.log2(math.sqrt((m + 1) * tiny) / sv))
+            for k in (floor, -400, 400):
+                scaled = validate_simplex(np.ldexp(s.vertices, k))
+                got = simplex_meb_support(scaled)
+                assert_same_bits(got, exact_meb_support(scaled.vertices))
+                if k != floor:
+                    assert_same_bits(got, (np.ldexp(want[0], k), math.ldexp(want[1], k), want[2]))
+
     def test_ties_are_covered(self):
         # The right triangle's weight 0 gives the descent the whole triangle
         # and the walk the hypotenuse.

@@ -175,7 +175,7 @@ def unit_box_simplices(draw):
     return np.array(draw(st.lists(rows, min_size=m + 1, max_size=m + 1)))
 
 
-# A thin draw, its edge factor's condition number 1.003e8: its reports
+# A thin draw, its edge matrix's condition number 1.003e8: its reports
 # scale exactly like any other draw's.
 ILL_CONDITIONED_DRAW = np.ldexp(
     np.array(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simplexgeo import (
+    Simplex,
     barycenter,
     barycentric_inradius,
     barycentric_inradius_estimate,
@@ -26,6 +27,7 @@ from simplexgeo import (
     sub_face,
     thickness,
     validate_simplex,
+    volume,
 )
 from simplexgeo import apollonius, metrics
 from simplexgeo.corpus import random_simplex
@@ -118,6 +120,19 @@ class TestBarycentricInradius:
         value, argmin = barycentric_inradius(validate_simplex([[0.0], [4.0]]))
         assert value == pytest.approx(2.0, abs=0)
         assert argmin == 0
+
+    def test_unvalidated_collinear_triangle_raises(self):
+        # A simplex built without validation can be degenerate; its inradius
+        # raises, with every warning an error, rather than dividing by a zero
+        # singular value.  Its volume is 0.
+        s = Simplex([[0, 0], [1, 0], [2, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                barycentric_inradius(s)
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                exact_inradius_fulldim(s)
+            assert volume(s) == 0.0
 
     def test_regular_closed_form(self):
         for m in (1, 2, 3, 5, 7):
@@ -212,7 +227,7 @@ class TestExactInradius:
             exact_inradius_fulldim(regular_simplex(2, 3, 1.0))
 
     def test_no_warning_when_well_conditioned(self):
-        # The needle passes the rank gate; its edge factor has condition 3.3e8.
+        # The needle passes the rank gate; its edge matrix has condition 3.3e8.
         needle = validate_simplex([(0, 0), (1, 0), (0, 3e-9)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
