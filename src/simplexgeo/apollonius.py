@@ -112,18 +112,25 @@ def commandino_ratio(s: Simplex, i: int) -> tuple[float, float]:
 
 
 def median_sums(s: Simplex) -> MedianReport:
-    """Assemble the per-vertex medians and the aggregate squared sums."""
+    """Assemble the per-vertex medians and the aggregate squared sums.
+
+    Raises OverflowError when a sum is not finite: a segment of length L has
+    the median-square sum 2 L^2, which overflows for L above about 9.5e153
+    while its radicands do not."""
     floored, raw = s.radicand_pair
     # One BLAS dot per row: einsum rounds some rows differently.
     median_squares = [float(med @ med) for med in s.offsets - face_centroids(s)]
+    # sum() adds left to right, so these match a per-vertex running total
+    # bit for bit; numpy's pairwise summation rounds differently.
+    sums = (
+        sum(median_squares),
+        sum(float(g @ g) for g in s.barycenter_offset - s.offsets),
+        float(s.sq_distances[_upper(s.m + 1)].sum()),
+    )
+    if not all(map(math.isfinite, sums)):
+        raise OverflowError("squared edge lengths overflow the float range")
     return MedianReport(
-        median_lengths=(np.sqrt(floored) / s.m).tolist(),
-        apollonius_residuals=(raw - s.m**2 * np.array(median_squares)).tolist(),
-        # sum() adds left to right, so these match a per-vertex running
-        # total bit for bit; numpy's pairwise summation rounds differently.
-        sum_squares_medians=sum(median_squares),
-        sum_squares_center_to_vertices=sum(float(g @ g) for g in s.barycenter_offset - s.offsets),
-        sum_squares_edges=float(s.sq_distances[_upper(s.m + 1)].sum()),
+        (np.sqrt(floored) / s.m).tolist(), (raw - s.m**2 * np.array(median_squares)).tolist(), *sums
     )
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Simplex, centroid, check_int, check_positive, extremal_edges
+from .core import Simplex, centroid, check_int, check_positive, extremal_edges, squared_lengths
 from .errors import DimensionMismatch, EvaluationFailure, NoSignCriterion
 
 # Fraction of the vertex-value magnitude below which a component counts
@@ -170,8 +170,8 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
     builds only the kept child.  Vertex values are carried as m+1 lists of
     floats: a child's are its parent's with the midpoint's at row i (lower)
     or row j (upper), and a per-component min and max decides each child.
-    The kept child differs from its parent in one row, so one row and column
-    of the carried length matrix are recomputed from coordinates.
+    The kept child's edge lengths are measured from its coordinates by
+    ``core.squared_lengths``, the rule ``edge_profile`` reads, in O(m^2 n).
     Barycenters and step records are formed once, after the loop.
 
     One errstate covers the run, from the start evaluations to the final
@@ -193,7 +193,7 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
 
     m, rows = s0.m, s0.vertices
     profile = s0.profile
-    lengths, edge, diam0 = profile.lengths.copy(), profile.diam_edge, profile.diam
+    edge, diam0 = profile.diam_edge, profile.diam
     bound = _edge_error_bound(profile.diam, profile.shor, m)
     path, records = [rows], [(None, profile.diam, profile.shor, bound)]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -209,11 +209,8 @@ def solve(f: SystemFunction, s0: Simplex, tol: float, max_iter: int) -> Bisectio
                 )
             # The lower child wins ties.
             k = int(lower is None or (upper is not None and upper < lower))
-            rows, values, r = _child(rows, edge[k], mid), child_values[k], edge[k]
-            # The kept child differs from its parent in row r alone.
-            gaps = rows - rows[r]
-            lengths[r] = lengths[:, r] = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-            diam, shor, edge, _ = extremal_edges(lengths)
+            rows, values = _child(rows, edge[k], mid), child_values[k]
+            diam, shor, edge, _ = extremal_edges(np.sqrt(squared_lengths(rows[:, None] - rows)))
             bound = _edge_error_bound(diam, shor, m)
             path.append(rows)
             records.append((("lower", "upper")[k], diam, shor, bound))

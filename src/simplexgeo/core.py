@@ -301,11 +301,17 @@ def _inf_diagonal(k: int) -> np.ndarray:
     return _read_only(np.diag(np.full(k, math.inf)))
 
 
+def squared_lengths(gaps: np.ndarray) -> np.ndarray:
+    """Squared length of each gap q - p along the last axis: the one rule for
+    a squared distance between two points, so that every pair gets the same
+    bits whichever array holds it."""
+    return np.einsum("...k,...k->...", gaps, gaps)
+
+
 def squared_distance_matrix(s: Simplex) -> np.ndarray:
     """Symmetric (m+1, m+1) matrix of squared vertex distances."""
     v = s.vertices
-    gaps = v[:, None] - v
-    return np.einsum("ijk,ijk->ij", gaps, gaps)
+    return squared_lengths(v[:, None] - v)
 
 
 def centroid(points: np.ndarray) -> np.ndarray:

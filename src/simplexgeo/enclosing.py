@@ -10,9 +10,9 @@ when it stops (see ``_walk``).  The exact ball of a Simplex
 (``simplex_meb_support``, under ``combined_enclosure`` and
 ``metrics.eggleston_suite``) picks its support by a Cayley-Menger descent
 on the simplex's squared distances (see ``_descend``), forms the ball once
-from coordinates and certifies it as the walk does; the walk takes over
-when that fails.  Both take a support's circumcenter from one routine,
-``_support_ball``: an SVD of the support's edge vectors by
+from coordinates and certifies it as the walk does; ``exact_meb_support``
+gives the ball when that fails.  Both take a support's circumcenter from
+one routine, ``_support_ball``: an SVD of the support's edge vectors by
 ``core.factor_edges``, with the support in index order, so a simplex gets
 the same ball from either unless its support is decided by a tie; a
 support of every vertex reads the SVD the simplex already holds.  The
@@ -38,6 +38,7 @@ from .core import (
     check_range,
     factor_edges,
     require_regular,
+    squared_lengths,
 )
 from .errors import (
     CapExceeded,
@@ -180,21 +181,6 @@ def _check_caps(count: int, n: int) -> None:
         )
 
 
-def _walk_ball(origin: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, float, tuple]:
-    """The walk's ball of the points origin + offsets, the offsets as rows;
-    rows that are the transpose of an (n, N) C array are walked in place."""
-    cols = np.ascontiguousarray(offsets.T)
-    center, support = _walk(cols)
-    # Cover every point exactly; the inflation is at rounding scale.  Sums
-    # across the (n, N) copy choose the farthest points, and only those are
-    # summed again along rows for the radius: a sum across rounds differently
-    # from n = 8 on, and would move the printed radius.
-    dist2 = ((cols - center[:, None]) ** 2).sum(axis=0)
-    far = offsets[dist2 >= (1.0 - RESCAN_RTOL) * dist2.max()]
-    radius = float(np.sqrt(((far - center) ** 2).sum(axis=1).max()))
-    return origin + center, radius, tuple(support)
-
-
 def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     """Exact minimum enclosing ball of a point set plus the boundary support
     indices, by the walk on the offsets to the first point.
@@ -209,7 +195,16 @@ def exact_meb_support(points) -> tuple[np.ndarray, float, tuple]:
     cols = np.ascontiguousarray(pts.T)
     check_range(cols.T)  # its reductions then run along memory
     _check_caps(*pts.shape)
-    return _walk_ball(pts[0], (cols - cols[:, :1]).T)
+    cols = cols - cols[:, :1]  # a new array: cols may view the caller's points
+    center, support = _walk(cols)
+    # Cover every point exactly; the inflation is at rounding scale.  Sums
+    # across the (n, N) copy choose the farthest points, and only those are
+    # summed again along rows for the radius: a sum across rounds differently
+    # from n = 8 on, and would move the printed radius.
+    dist2 = ((cols - center[:, None]) ** 2).sum(axis=0)
+    far = cols.T[dist2 >= (1.0 - RESCAN_RTOL) * dist2.max()]
+    radius = float(np.sqrt(((far - center) ** 2).sum(axis=1).max()))
+    return pts[0] + center, radius, tuple(support)
 
 
 def _descend(sq: np.ndarray) -> list | None:
@@ -268,7 +263,7 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
     coefficient >= -_IN_BALL_RTOL, and no vertex farther than
     (1 + _IN_BALL_RTOL) times the support's radius.  The radius covers
     every vertex.  When the descent fails or the certificate does not hold,
-    the walk gives the ball, bit for bit as ``exact_meb_support`` does.
+    ``exact_meb_support`` gives the ball.
     """
     pts = s.vertices
     _check_caps(*pts.shape)
@@ -281,7 +276,7 @@ def simplex_meb_support(s: Simplex) -> tuple[np.ndarray, float, tuple]:
         far2, ball2 = float(dist2.max()), (1.0 + _IN_BALL_RTOL) ** 2 * float(dist2[support].max())
         if coef.min() >= -_IN_BALL_RTOL and far2 <= ball2:
             return pts[0] + center, math.sqrt(far2), tuple(support)
-    return _walk_ball(pts[0], s.offsets)
+    return exact_meb_support(pts)
 
 
 def _support_ball(sup: np.ndarray, factors=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,8 +356,7 @@ def set_diameter(points, center, support) -> float:
         reach = (left[:, low : low + _GRAM_ROWS].T @ right[:, low + 1 :]).max(axis=1)
         longest = max(longest, float(reach.max()))
         for row in low + np.flatnonzero(reach >= (1.0 - RESCAN_RTOL) * longest):
-            gaps = ends[row + 1 :] - ends[row]
-            best = float(np.einsum("ij,ij->i", gaps, gaps).max(initial=best))
+            best = float(squared_lengths(ends[row + 1 :] - ends[row]).max(initial=best))
     return math.sqrt(best)
 
 

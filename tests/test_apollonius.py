@@ -164,6 +164,15 @@ class TestMedianSums:
                 want_center, rel=1e-9
             )
 
+    def test_segment_median_sum_overflow_raises(self):
+        # A segment's median squares sum to 2 L^2, which overflows while its
+        # radicand L^2 and every other field stay finite.
+        assert math.isfinite(median_sums(validate_simplex([[0.0], [9e153]])).sum_squares_medians)
+        s = validate_simplex([[0.0], [1e154]])
+        assert np.isfinite(s.radicand_pair[1]).all()
+        with pytest.raises(OverflowError, match="squared edge lengths overflow the float range"):
+            median_sums(s)
+
     def test_regular_unit_edges(self):
         # With every edge 1 the median squares sum to (m+1)^2 / (2m).
         for m in (2, 3, 5):

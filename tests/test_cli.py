@@ -772,6 +772,14 @@ class TestNumericalFailure:
         assert code == EXIT_FAILURE
         assert_clean_error(out, err)
 
+    def test_analyze_segment_median_sum_overflow(self, tmp_path, capsys):
+        # The segment's median squares sum to 2 L^2 = inf; its radicands do not overflow.
+        path = write_simplex(tmp_path, "segment.json", [(0,), (1e154,)])
+        code, out, err = run_cli(["analyze", str(path)], capsys)
+        assert code == EXIT_FAILURE
+        assert_clean_error(out, err)
+        assert err == "error: squared edge lengths overflow the float range\n"
+
     def test_regular_overflow(self, capsys):
         code, out, err = run_cli(["regular", "--m", "2", "--n", "2", "--diam", "1e300"], capsys)
         assert code == EXIT_FAILURE

@@ -31,6 +31,7 @@ from simplexgeo.core import (
     extremal_edges,
     factor_edges,
     require_regular,
+    squared_lengths,
 )
 from simplexgeo.corpus import random_simplex
 from simplexgeo.errors import (
@@ -639,6 +640,22 @@ class TestFactorEdges:
         u, sv, vt = factor_edges(np.empty((0, 3)))
         assert u.shape == (0, 0) and sv.shape == (0,) and vt.shape == (0, 3)
         assert not factor_edges(np.zeros((2, 3)))[1].any()
+
+
+def test_squared_lengths_of_a_row_are_the_matrix_row():
+    """Row i of the pair matrix, right of the diagonal, is the squared lengths
+    of the gaps from v_i to the later rows, bit for bit: ``edge_profile``,
+    ``solve`` and ``set_diameter`` measure a pair alike because of it.
+    Copies moved by 10^9 diameters and scaled by 2^+-400 are checked too."""
+    rng = np.random.default_rng(3501)
+    for k in range(2, 13):
+        for n in range(1, 16):
+            v = rng.normal(size=(k, n))
+            shift = 1e9 * math.sqrt(squared_lengths(v[:, None] - v).max()) * rng.normal(size=n)
+            for w in (v, v + shift, np.ldexp(v, 400), np.ldexp(v, -400)):
+                matrix = squared_lengths(w[:, None] - w)
+                for i in range(k - 1):
+                    assert np.array_equal(matrix[i, i + 1 :], squared_lengths(w[i + 1 :] - w[i]))
 
 
 @st.composite

@@ -563,7 +563,7 @@ def test_radius_is_the_largest_row_sum(name):
     cols = np.ascontiguousarray(pts.T)
     center, _ = enclosing._walk(cols - cols[:, :1])
     want = math.sqrt(((((pts - pts[0]) - center) ** 2).sum(axis=1)).max())
-    assert enclosing._walk_ball(pts[0], pts - pts[0])[1] == want
+    assert enclosing.exact_meb_support(pts)[1] == want
 
 
 class TestSetDiameter:
